@@ -1,75 +1,52 @@
 //! Perf-regression harness: fixed-seed covariance + join benches for every
-//! engine, optimized vs `baseline-hash` arms in one run, written to
-//! `BENCH_engines.json` so future PRs have a trajectory to compare against.
+//! engine, written to `BENCH_engines.json` so future PRs have a trajectory
+//! to compare against.
 //!
 //! ```text
 //! perf_regression [--scale S] [--iters N] [--shards K] [--out PATH]
-//!                 [--serving-readers R] [--baseline-hash | --optimized]
-//!                 [--check-kernels]
+//!                 [--serving-readers R]
 //! ```
 //!
 //! `--shards` sets the fan-out of the sharded-vs-single-shard arm and
 //! `--serving-readers` the client-thread count of the serving arm's
 //! multi-reader phase (default for both: one per available core).
-//! `--check-kernels` turns the kernel-microbench rows into a gate: exit
-//! non-zero if any optimized kernel arm measures slower than its baseline
-//! twin (beyond a 5% noise margin) — the "optimized path must never lose
-//! to the twin it replaces" regression check CI runs on every push.
 
-use fdb_bench::perf::{self, Arms};
+use fdb_bench::perf;
 
 fn main() {
     let mut scale = 1.0f64;
     let mut iters = 3usize;
     let mut out = String::from("BENCH_engines.json");
-    let mut arms = Arms::Both;
     let mut shards = fdb_core::parallel::default_threads();
-    let mut shards_given = false;
     let mut serving_readers = fdb_core::parallel::default_threads().max(2);
-    let mut check_kernels = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => scale = args.next().and_then(|v| v.parse().ok()).expect("--scale S"),
             "--iters" => iters = args.next().and_then(|v| v.parse().ok()).expect("--iters N"),
-            "--shards" => {
-                shards = args.next().and_then(|v| v.parse().ok()).expect("--shards K");
-                shards_given = true;
-            }
+            "--shards" => shards = args.next().and_then(|v| v.parse().ok()).expect("--shards K"),
             "--serving-readers" => {
                 serving_readers =
                     args.next().and_then(|v| v.parse().ok()).expect("--serving-readers R");
             }
             "--out" => out = args.next().expect("--out PATH"),
-            "--baseline-hash" => arms = Arms::BaselineOnly,
-            "--optimized" => arms = Arms::OptimizedOnly,
-            "--check-kernels" => check_kernels = true,
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: perf_regression [--scale S] [--iters N] [--shards K] [--out PATH] \
-                     [--serving-readers R] [--baseline-hash | --optimized] [--check-kernels]"
+                     [--serving-readers R]"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    // The sharded-vs-single-shard pair only runs in the default (Both)
-    // mode; don't let an explicit --shards be dropped silently.
-    if shards_given && arms != Arms::Both {
-        eprintln!(
-            "note: --shards has no effect with --baseline-hash/--optimized \
-             (the sharded arm runs only in the default both-arms mode)"
-        );
-    }
-
-    let rows = perf::run_all_with_shards(scale, iters, arms, shards);
-    let cart = (arms == Arms::Both).then(|| perf::cart_sort_accounting(scale));
-    let views = (arms == Arms::Both).then(|| perf::cart_view_reuse(scale));
+    let rows = perf::run_all(scale, iters, shards);
+    let cart = perf::cart_sort_accounting(scale);
+    let views = perf::cart_view_reuse(scale);
     // The IVM arm scales its update count mildly with the dataset.
     let ivm_updates = ((64.0 * scale.sqrt()) as usize).clamp(16, 512);
-    let ivm = (arms == Arms::Both).then(|| perf::ivm_maintenance(scale, ivm_updates));
+    let ivm = perf::ivm_maintenance(scale, ivm_updates);
     // Fault-site overhead: cheap enough to always measure, and the JSON
     // records whether the sites were compiled in for this build.
     let fault = perf::fault_overhead(2_000_000);
@@ -78,14 +55,12 @@ fn main() {
     // small `--scale` smoke runs stay quick.
     let serving_queries = ((48.0 * scale.sqrt()) as usize).clamp(8, 256);
     let serving_updates = ((32.0 * scale.sqrt()) as usize).clamp(8, 256);
-    let serving = (arms == Arms::Both)
-        .then(|| perf::serving_bench(scale, serving_readers, serving_queries, serving_updates));
+    let serving = perf::serving_bench(scale, serving_readers, serving_queries, serving_updates);
     // The front-door arm: sustained overload through the bounded-queue
     // admission layer — `--serving-readers` producers hammering a
     // 4-slot queue while 2 readers stream snapshot queries.
     let fd_per_producer = ((24.0 * scale.sqrt()) as usize).clamp(6, 128);
-    let frontdoor = (arms == Arms::Both)
-        .then(|| perf::frontdoor_bench(scale, serving_readers, 2, fd_per_producer));
+    let frontdoor = perf::frontdoor_bench(scale, serving_readers, 2, fd_per_producer);
 
     fdb_bench::print_table(
         &["bench", "engine", "config", "wall", "groups", "threads", "morsel_rows"],
@@ -104,52 +79,33 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    // Per-kernel throughput: the dataset label carries the row count.
-    for r in rows.iter().filter(|r| r.bench == "kernel-microbench") {
-        if let Some(n) = r
-            .dataset
-            .strip_prefix("synthetic-")
-            .and_then(|s| s.strip_suffix("rows"))
-            .and_then(|s| s.parse::<f64>().ok())
-        {
-            let rate = n / (r.wall_ns.max(1) as f64 * 1e-9);
-            println!("kernel {}/{}: {:.1}M rows/s", r.engine, r.config, rate * 1e-6);
-        }
-    }
     for (bench, engine, x) in perf::speedups(&rows) {
         println!("speedup {bench}/{engine}: {x:.2}x");
     }
-    if let Some(c) = &cart {
-        println!(
-            "cart: {} relations, {} sorts on first fit, {} on second (leaves {})",
-            c.relations, c.first_fit_sorts, c.second_fit_sorts, c.leaves
-        );
-    }
-    if let Some(v) = &views {
-        println!(
-            "cart-retailer: {} batches, {}/{} views rescanned cold ({} reused, ratio {:.2}), \
-             {} rescanned warm; cached-vs-cold {:.2}x",
-            v.batches_run,
-            v.views_rescanned,
-            v.view_lookups,
-            v.views_reused,
-            v.reuse_ratio(),
-            v.warm_views_rescanned,
-            v.warm_speedup()
-        );
-    }
-
-    if let Some(p) = &ivm {
-        println!(
-            "ivm-retailer: {} fact inserts maintained at {:.0} updates/s \
-             ({} views delta-maintained, {} rescans); delta-vs-recompute {:.1}x",
-            p.updates,
-            p.updates_per_sec(),
-            p.delta_maintained,
-            p.maintained_rescans,
-            p.speedup()
-        );
-    }
+    println!(
+        "cart: {} relations, {} sorts on first fit, {} on second (leaves {})",
+        cart.relations, cart.first_fit_sorts, cart.second_fit_sorts, cart.leaves
+    );
+    println!(
+        "cart-retailer: {} batches, {}/{} views rescanned cold ({} reused, ratio {:.2}), \
+         {} rescanned warm; cached-vs-cold {:.2}x",
+        views.batches_run,
+        views.views_rescanned,
+        views.view_lookups,
+        views.views_reused,
+        views.reuse_ratio(),
+        views.warm_views_rescanned,
+        views.warm_speedup()
+    );
+    println!(
+        "ivm-retailer: {} fact inserts maintained at {:.0} updates/s \
+         ({} views delta-maintained, {} rescans); delta-vs-recompute {:.1}x",
+        ivm.updates,
+        ivm.updates_per_sec(),
+        ivm.views_maintained,
+        ivm.maintained_rescans,
+        ivm.speedup()
+    );
 
     println!(
         "fault-injection sites ({}): {:.3} ns/check, {:.4}% of one maintained delta",
@@ -158,81 +114,35 @@ fn main() {
         fault.overhead_fraction_per_delta() * 100.0
     );
 
-    if let Some(p) = &serving {
-        println!(
-            "serving: {} readers at {:.0} qps vs {:.0} qps single ({:.2}x), \
-             {} deltas live; stripe waits sort {} view {} ({}+{} stripes)",
-            p.readers,
-            p.qps_multi(),
-            p.qps_single(),
-            p.reader_scaling(),
-            p.deltas_applied,
-            p.sort_contended,
-            p.view_contended,
-            p.sort_stripes,
-            p.view_stripes
-        );
-    }
-
-    if let Some(p) = &frontdoor {
-        println!(
-            "frontdoor: {} producers vs {}-slot queue at {:.0} submits/s \
-             (p50 {} ns, p99 {} ns), {} batches for {} submits ({:.2}x coalesced), \
-             {:.0} qps read-side",
-            p.producers,
-            p.queue_capacity,
-            p.submit_qps(),
-            p.submit_p50_ns,
-            p.submit_p99_ns,
-            p.batches_committed,
-            p.submitted,
-            p.coalescing_factor(),
-            p.read_qps()
-        );
-    }
-
-    let json = perf::to_json(
-        &rows,
-        cart.as_ref(),
-        views.as_ref(),
-        ivm.as_ref(),
-        Some(&fault),
-        serving.as_ref(),
-        frontdoor.as_ref(),
+    println!(
+        "serving: {} readers at {:.0} qps vs {:.0} qps single ({:.2}x), \
+         {} deltas live; stripe waits sort {} view {} ({}+{} stripes)",
+        serving.readers,
+        serving.qps_multi(),
+        serving.qps_single(),
+        serving.reader_scaling(),
+        serving.deltas_applied,
+        serving.sort_contended,
+        serving.view_contended,
+        serving.sort_stripes,
+        serving.view_stripes
     );
+    println!(
+        "frontdoor: {} producers vs {}-slot queue at {:.0} submits/s \
+         (p50 {} ns, p99 {} ns), {} batches for {} submits ({:.2}x coalesced), \
+         {:.0} qps read-side",
+        frontdoor.producers,
+        frontdoor.queue_capacity,
+        frontdoor.submit_qps(),
+        frontdoor.submit_p50_ns,
+        frontdoor.submit_p99_ns,
+        frontdoor.batches_committed,
+        frontdoor.submitted,
+        frontdoor.coalescing_factor(),
+        frontdoor.read_qps()
+    );
+
+    let json = perf::to_json(&rows, &cart, &views, &ivm, &fault, &serving, &frontdoor);
     std::fs::write(&out, json).expect("write BENCH_engines.json");
     println!("wrote {out}");
-
-    // The kernel gate runs after the JSON lands, so a failing run still
-    // leaves the numbers on disk (and in the CI artifact) to diagnose.
-    // A 5% noise margin keeps near-parity pairs from flaking the gate on
-    // loaded runners; real regressions (a fast path silently degrading to
-    // its twin's shape) overshoot it by far more.
-    if check_kernels {
-        const NOISE_MARGIN: f64 = 1.05;
-        let mut losses = 0usize;
-        for opt in rows.iter().filter(|r| r.bench == "kernel-microbench" && r.config == "optimized")
-        {
-            let Some(base) = rows.iter().find(|b| {
-                b.bench == opt.bench && b.engine == opt.engine && b.config == "baseline-hash"
-            }) else {
-                continue;
-            };
-            if opt.wall_ns as f64 > base.wall_ns as f64 * NOISE_MARGIN {
-                eprintln!(
-                    "kernel regression: {} optimized {} ns > baseline {} ns ({:.2}x slower)",
-                    opt.engine,
-                    opt.wall_ns,
-                    base.wall_ns,
-                    opt.wall_ns as f64 / base.wall_ns.max(1) as f64
-                );
-                losses += 1;
-            }
-        }
-        if losses > 0 {
-            eprintln!("--check-kernels: {losses} optimized kernel arm(s) lost to their twin");
-            std::process::exit(1);
-        }
-        println!("--check-kernels: every optimized kernel arm beat its baseline twin");
-    }
 }

@@ -1,31 +1,20 @@
 //! The perf-regression harness behind the `perf_regression` binary.
 //!
 //! Runs the grouped-covariance and join-count benches at a fixed seed for
-//! every engine, in two arms per engine:
-//!
-//! * **optimized** — the current defaults: dense code-indexed group
-//!   accumulators, the cross-query sort cache, and (for the flat baseline)
-//!   one shared scan per group-by set;
-//! * **baseline-hash** — the pre-optimization configuration: hash-map
-//!   accumulators (`dense_limit = 0` / the hash keyed ring), fresh sorts
-//!   every run, one scan per aggregate.
-//!
-//! Both arms run in the same process on the same generated data, so the
-//! emitted `BENCH_engines.json` carries its own before/after trajectory —
-//! future PRs append their numbers instead of guessing what "before" was.
-//! Each row records the engine, config arm, dataset, best wall time in
-//! nanoseconds over the requested iterations, and the total number of
-//! groups emitted (a cheap cross-arm agreement checksum).
+//! every engine at its defaults, plus the sharded-vs-single-shard pair,
+//! and writes them to `BENCH_engines.json` — the trajectory a later PR
+//! diffs its own run against. Each row records the engine, config,
+//! dataset, best wall time in nanoseconds over the requested iterations,
+//! and the total number of groups emitted (a cheap cross-engine agreement
+//! checksum). The Figure 6 ablation stages live in [`crate::fig6`].
 
 use fdb_core::{
-    covariance_batch, to_scan_query, AggQuery, Engine, EngineConfig, FactorizedEngine, FlatEngine,
-    LmfaoEngine, ShardedEngine, ViewCache,
+    covariance_batch, AggQuery, Engine, EngineConfig, FactorizedEngine, FlatEngine, LmfaoEngine,
+    ShardedEngine, ViewCache,
 };
-use fdb_core::{eval_agg_batch, ScanQuery};
 use fdb_data::SortCache;
 use fdb_datasets::{retailer, zipf_snowflake, Dataset, RetailerConfig, ZipfConfig};
 use fdb_ml::tree::{DecisionTree, TreeConfig};
-use fdb_query::natural_join_all;
 
 /// One measurement row of `BENCH_engines.json`.
 #[derive(Debug, Clone)]
@@ -34,8 +23,9 @@ pub struct PerfRow {
     pub bench: &'static str,
     /// Engine name (`lmfao`, `factorized`, `flat`, `sharded-lmfao`).
     pub engine: &'static str,
-    /// Arm: `optimized` / `baseline-hash`, or — for the sharding rows —
-    /// `sharded` (one shard per worker) / `single-shard` (the wrapper's
+    /// `optimized` (the engine's defaults — the label earlier
+    /// `BENCH_engines.json` files key these rows by), or — for the sharding
+    /// rows — `sharded` (one shard per worker) / `single-shard` (the wrapper's
     /// 1-partition configuration, which short-circuits to the unwrapped
     /// inner engine: no partition, no merge — i.e. "not sharding at all",
     /// the baseline the sharded arm's speedup is measured against).
@@ -118,27 +108,6 @@ impl CartViewReuse {
     }
 }
 
-/// Which arms [`run_all`] measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arms {
-    /// Both arms (the default: speedups are computable from one run).
-    Both,
-    /// Only the pre-optimization arm (`--baseline-hash`).
-    BaselineOnly,
-    /// Only the optimized arm (`--optimized`).
-    OptimizedOnly,
-}
-
-impl Arms {
-    fn includes(self, config: &str) -> bool {
-        match self {
-            Arms::Both => true,
-            Arms::BaselineOnly => config == "baseline-hash",
-            Arms::OptimizedOnly => config == "optimized",
-        }
-    }
-}
-
 /// The fixed-seed retailer instance of the harness; `scale = 1.0` is the
 /// test scale the CI step runs.
 pub fn perf_dataset(scale: f64) -> Dataset {
@@ -189,32 +158,10 @@ fn time_engine(ds: &Dataset, q: &AggQuery, engine: &dyn Engine, iters: usize) ->
     (best, groups)
 }
 
-/// Times the pre-optimization flat path: materialized join plus **one scan
-/// per aggregate** (the accidental quadratic the shared-scan fix removed).
-fn time_flat_per_agg(ds: &Dataset, q: &AggQuery, iters: usize) -> (u128, usize) {
-    let mut best = u128::MAX;
-    let mut groups = 0;
-    for _ in 0..iters.max(1) {
-        let t0 = std::time::Instant::now();
-        let flat = natural_join_all(&ds.db, &q.relation_refs()).expect("join");
-        let queries: Vec<ScanQuery> = q.batch.aggs.iter().map(to_scan_query).collect();
-        let res = eval_agg_batch(&flat, &queries).expect("classical batch");
-        best = best.min(t0.elapsed().as_nanos());
-        groups = res.iter().map(|m| m.values().filter(|&&v| v != 0.0).count()).sum();
-    }
-    (best, groups)
-}
-
-/// Runs every bench × engine × arm combination with the default shard
-/// fan-out (one shard per available core).
-pub fn run_all(scale: f64, iters: usize, arms: Arms) -> Vec<PerfRow> {
-    run_all_with_shards(scale, iters, arms, fdb_core::parallel::default_threads())
-}
-
-/// [`run_all`] with an explicit shard count for the sharded arm.
+/// Runs every bench × engine combination with `shards` partitions in the
+/// sharded arm.
 ///
-/// Besides the per-engine optimized / baseline-hash arms, the `Both` mode
-/// (only — the single-arm modes skip the pair) measures a **sharded vs
+/// Besides the per-engine rows this measures a **sharded vs
 /// single-shard** pair: `ShardedEngine<LmfaoEngine>` (inner engine
 /// single-threaded, so the pair isolates shard-level data parallelism)
 /// over `shards` partitions vs the 1-partition configuration, which
@@ -227,24 +174,18 @@ pub fn run_all(scale: f64, iters: usize, arms: Arms) -> Vec<PerfRow> {
 /// test-scale retailer lands there, so the pair records ≈ 1× (the
 /// fallback fix) instead of the former < 1× overhead regression; larger
 /// `--scale` values shard for real.
-pub fn run_all_with_shards(scale: f64, iters: usize, arms: Arms, shards: usize) -> Vec<PerfRow> {
+pub fn run_all(scale: f64, iters: usize, shards: usize) -> Vec<PerfRow> {
     let ds = perf_dataset(scale);
     let label = format!("retailer-x{scale}");
     let mut rows = Vec::new();
     // The cross-batch view cache is bypassed in every timed engine row:
     // with it on, iterations after the first would measure cached result
-    // extraction instead of execution, washing out the signal each pair
-    // isolates (dense-vs-hash accumulators; sharded-vs-single-shard).
+    // extraction instead of execution, washing out the signal the
+    // sharded-vs-single-shard pair isolates.
     // The cache's own win is measured by the `cart-retailer` arm
     // ([`cart_view_reuse`]), where cold-vs-warm is the point.
     let lmfao_opt = LmfaoEngine::with_config(EngineConfig {
         threads: 1,
-        view_cache_bytes: 0,
-        ..Default::default()
-    });
-    let lmfao_base = LmfaoEngine::with_config(EngineConfig {
-        threads: 1,
-        dense_limit: 0,
         view_cache_bytes: 0,
         ..Default::default()
     });
@@ -253,81 +194,20 @@ pub fn run_all_with_shards(scale: f64, iters: usize, arms: Arms, shards: usize) 
     for (bench, q) in
         [("grouped-covariance", covariance_query(&ds)), ("join-count", join_count_query(&ds))]
     {
-        // Skipped arms are never timed — `--optimized` exists precisely to
-        // avoid paying for the slow baseline configurations at large scale.
-        type Run<'a> = (&'static str, &'static str, usize, Box<dyn Fn() -> (u128, usize) + 'a>);
-        let runs: Vec<Run> = vec![
-            ("lmfao", "optimized", 1, Box::new(|| time_engine(&ds, &q, &lmfao_opt, iters))),
-            ("lmfao", "baseline-hash", 1, Box::new(|| time_engine(&ds, &q, &lmfao_base, iters))),
-            (
-                "factorized",
-                "optimized",
-                1,
-                Box::new(|| time_engine(&ds, &q, &FactorizedEngine::new(), iters)),
-            ),
-            (
-                "factorized",
-                "baseline-hash",
-                1,
-                Box::new(|| time_engine(&ds, &q, &FactorizedEngine::baseline_hash(), iters)),
-            ),
-            ("flat", "optimized", 1, Box::new(|| time_engine(&ds, &q, &FlatEngine, iters))),
-            ("flat", "baseline-hash", 1, Box::new(|| time_flat_per_agg(&ds, &q, iters))),
-            (
-                "sharded-lmfao",
-                "sharded",
-                shards.max(1),
-                Box::new(|| time_engine(&ds, &q, &sharded, iters)),
-            ),
-            (
-                "sharded-lmfao",
-                "single-shard",
-                1,
-                Box::new(|| time_engine(&ds, &q, &single_shard, iters)),
-            ),
+        let runs: [(&'static str, &'static str, usize, &dyn Engine); 5] = [
+            ("lmfao", "optimized", 1, &lmfao_opt),
+            ("factorized", "optimized", 1, &FactorizedEngine::new()),
+            ("flat", "optimized", 1, &FlatEngine),
+            ("sharded-lmfao", "sharded", shards.max(1), &sharded),
+            ("sharded-lmfao", "single-shard", 1, &single_shard),
         ];
-        for (engine, config, threads, run) in &runs {
-            if arms.includes(config) {
-                let (wall_ns, groups) = run();
-                rows.push(PerfRow {
-                    bench,
-                    engine,
-                    config,
-                    dataset: label.clone(),
-                    wall_ns,
-                    groups,
-                    threads: *threads,
-                    morsel_rows: fdb_core::DEFAULT_MORSEL_ROWS,
-                    available_cores: fdb_core::parallel::default_threads(),
-                });
-            }
-        }
-    }
-    // Sharded-vs-single-shard on the *clustered* Zipf snowflake. The
-    // retailer draws fact keys i.i.d., so equal-row shards get
-    // statistically identical work; this dataset sorts the fact by its
-    // power-law key, giving contiguous shards very different group
-    // structure — the skew shape the morsel over-partitioning (work units
-    // drained by the stealing loop) exists for.
-    if arms == Arms::Both {
-        let zds = zipf_snowflake(ZipfConfig {
-            fact_rows: ((40_000.0 * scale).ceil() as usize).max(1_000),
-            ..Default::default()
-        });
-        let zq = {
-            let rels: Vec<&str> = zds.relation_refs();
-            AggQuery::new(&rels, covariance_batch(&["a", "b", "v"], &["grp"]))
-        };
-        let zlabel = format!("zipf-snowflake-x{scale}");
-        for (config, engine, threads) in
-            [("sharded", &sharded, shards.max(1)), ("single-shard", &single_shard, 1)]
-        {
-            let (wall_ns, groups) = time_engine(&zds, &zq, engine, iters);
+        for (engine, config, threads, e) in runs {
+            let (wall_ns, groups) = time_engine(&ds, &q, e, iters);
             rows.push(PerfRow {
-                bench: "grouped-covariance-zipf",
-                engine: "sharded-lmfao",
+                bench,
+                engine,
                 config,
-                dataset: zlabel.clone(),
+                dataset: label.clone(),
                 wall_ns,
                 groups,
                 threads,
@@ -336,330 +216,36 @@ pub fn run_all_with_shards(scale: f64, iters: usize, arms: Arms, shards: usize) 
             });
         }
     }
-    rows.extend(kernel_microbench(iters, arms));
-    rows
-}
-
-/// Best wall time of `iters` runs of `f`, plus `f`'s last return value.
-fn best_of(iters: usize, mut f: impl FnMut() -> usize) -> (u128, usize) {
-    let mut best = u128::MAX;
-    let mut checksum = 0;
-    for _ in 0..iters.max(1) {
-        let t0 = std::time::Instant::now();
-        checksum = f();
-        best = best.min(t0.elapsed().as_nanos());
-    }
-    (best, checksum)
-}
-
-/// The per-kernel microbench: each of the eight hot-loop kernels timed in
-/// its optimized form (`optimized`) against its row-wise / per-slot /
-/// serial twin (`baseline-hash`) on identical synthetic inputs, one row
-/// per arm.
-/// Single-threaded by construction — these isolate instruction-level
-/// parallelism, not the scheduler; the `groups` checksum must agree
-/// between the two arms of each kernel.
-pub fn kernel_microbench(iters: usize, arms: Arms) -> Vec<PerfRow> {
-    use fdb_core::{kernel, GroupIndex, KeySpace};
-    use fdb_factorized::trie::{collect_pair, leapfrog_intersect};
-    use fdb_ring::{CovRing, DenseKeyedRing, F64Ring, Semiring};
-
-    let mut rows = Vec::new();
-    let mut push = |engine, config, n: usize, (wall_ns, groups): (u128, usize)| {
+    // Sharded-vs-single-shard on the *clustered* Zipf snowflake. The
+    // retailer draws fact keys i.i.d., so equal-row shards get
+    // statistically identical work; this dataset sorts the fact by its
+    // power-law key, giving contiguous shards very different group
+    // structure — the skew shape the morsel over-partitioning (work units
+    // drained by the stealing loop) exists for.
+    let zds = zipf_snowflake(ZipfConfig {
+        fact_rows: ((40_000.0 * scale).ceil() as usize).max(1_000),
+        ..Default::default()
+    });
+    let zq = {
+        let rels: Vec<&str> = zds.relation_refs();
+        AggQuery::new(&rels, covariance_batch(&["a", "b", "v"], &["grp"]))
+    };
+    let zlabel = format!("zipf-snowflake-x{scale}");
+    for (config, engine, threads) in
+        [("sharded", &sharded, shards.max(1)), ("single-shard", &single_shard, 1)]
+    {
+        let (wall_ns, groups) = time_engine(&zds, &zq, engine, iters);
         rows.push(PerfRow {
-            bench: "kernel-microbench",
-            engine,
+            bench: "grouped-covariance-zipf",
+            engine: "sharded-lmfao",
             config,
-            dataset: format!("synthetic-{n}rows"),
+            dataset: zlabel.clone(),
             wall_ns,
             groups,
-            threads: 1,
+            threads,
             morsel_rows: fdb_core::DEFAULT_MORSEL_ROWS,
             available_cores: fdb_core::parallel::default_threads(),
         });
-    };
-
-    // GroupIndex accumulation: batched code computation + payload add vs
-    // the per-row key/encode/scatter loop. Keys from a cheap LCG over an
-    // 8×8×8×8 dense space — a four-attribute group-by, the shape where
-    // per-row mixed-radix encoding is a real fraction of the loop. The
-    // scatter itself is shared between the arms, so the measured gap is
-    // the encode (and stays modest next to the O(n)-vs-O(n²) kernels).
-    const ACC_ROWS: usize = 1 << 17;
-    let space = KeySpace::new(&[(0, 7); 4], 1 << 20).expect("dense space");
-    let (mut c1, mut c2, mut c3, mut c4, mut vals) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let mut state = 0x243F_6A88_85A3_08D3u64;
-    for i in 0..ACC_ROWS {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        c1.push(((state >> 33) & 7) as i64);
-        c2.push(((state >> 23) & 7) as i64);
-        c3.push(((state >> 13) & 7) as i64);
-        c4.push(((state >> 3) & 7) as i64);
-        vals.push((i % 97) as f64 * 0.5);
-    }
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || {
-            let mut acc = GroupIndex::dense(space.clone(), 1);
-            let (mut codes, mut oob) = (Vec::new(), Vec::new());
-            let mut lo = 0;
-            while lo < ACC_ROWS {
-                let hi = (lo + fdb_core::DEFAULT_MORSEL_ROWS).min(ACC_ROWS);
-                let cols = [&c1[lo..hi], &c2[lo..hi], &c3[lo..hi], &c4[lo..hi]];
-                kernel::encode_codes(&space, &cols, hi - lo, &mut codes, &mut oob);
-                acc.add_codes(&codes, 0, &vals[lo..hi]);
-                lo = hi;
-            }
-            acc.len()
-        });
-        push("group-accumulate", "optimized", ACC_ROWS, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || {
-            let mut acc = GroupIndex::dense(space.clone(), 1);
-            let mut key = Vec::with_capacity(4);
-            for r in 0..ACC_ROWS {
-                key.clear();
-                key.push(c1[r]);
-                key.push(c2[r]);
-                key.push(c3[r]);
-                key.push(c4[r]);
-                acc.payload_mut(&key)[0] += vals[r];
-            }
-            acc.len()
-        });
-        push("group-accumulate", "baseline-hash", ACC_ROWS, timed);
-    }
-
-    // DenseKeyedRing merge: the leapfrog-order accumulation shape — many
-    // single-entry elements arriving in ascending (mask, code) order. The
-    // optimized arm is the `add_assign` append fast path (amortized O(n));
-    // the baseline re-merges through `add` every step (O(n²)).
-    const MERGE_PARTS: usize = 4_000;
-    let ring =
-        DenseKeyedRing::new(F64Ring, &[(0, MERGE_PARTS as i64 - 1)]).expect("dense key range");
-    let parts: Vec<_> = (0..MERGE_PARTS).map(|v| ring.tag(0, v as i64, 1.5)).collect();
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || {
-            let mut acc = ring.zero();
-            for p in &parts {
-                ring.add_assign(&mut acc, p);
-            }
-            acc.len()
-        });
-        push("ring-merge", "optimized", MERGE_PARTS, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || {
-            let mut acc = ring.zero();
-            for p in &parts {
-                acc = ring.add(&acc, p);
-            }
-            acc.len()
-        });
-        push("ring-merge", "baseline-hash", MERGE_PARTS, timed);
-    }
-
-    // Leapfrog key intersection: the batched two-pointer pair collector vs
-    // the generic callback leapfrog, over sorted columns with short
-    // duplicate runs and a dense overlap.
-    const ISECT_ROWS: usize = 1 << 16;
-    let a: Vec<i64> = (0..ISECT_ROWS).map(|i| (i / 3) as i64 * 2).collect();
-    let b: Vec<i64> = (0..ISECT_ROWS).map(|i| (i / 2) as i64).collect();
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || {
-            let (mut vals, mut runs) = (Vec::new(), Vec::new());
-            collect_pair(&a, 0..ISECT_ROWS, &b, 0..ISECT_ROWS, &mut vals, &mut runs);
-            vals.len()
-        });
-        push("intersect", "optimized", ISECT_ROWS, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || {
-            let (mut vals, mut runs) = (Vec::new(), Vec::new());
-            leapfrog_intersect(&[&a, &b], &[0..ISECT_ROWS, 0..ISECT_ROWS], |v, rs| {
-                vals.push(v);
-                runs.extend_from_slice(rs);
-                true
-            });
-            vals.len()
-        });
-        push("intersect", "baseline-hash", ISECT_ROWS, timed);
-    }
-
-    // Covariance payload update: the fused sparse lift-and-add vs
-    // lift-then-add-assign (which allocates two triples per row).
-    const COV_ROWS: usize = 1 << 15;
-    let cov = CovRing::new(16);
-    let idx = [0usize, 5, 9, 14];
-    let row_vals =
-        |r: usize| [(r % 7) as f64, (r % 11) as f64 * 0.25, (r % 5) as f64 - 2.0, (r % 3) as f64];
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || {
-            let mut acc = cov.zero();
-            for r in 0..COV_ROWS {
-                cov.add_lift_sparse(&mut acc, &idx, &row_vals(r));
-            }
-            acc.dim()
-        });
-        push("cov-update", "optimized", COV_ROWS, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || {
-            let mut acc = cov.zero();
-            for r in 0..COV_ROWS {
-                cov.add_assign(&mut acc, &cov.lift_sparse(&idx, &row_vals(r)));
-            }
-            acc.dim()
-        });
-        push("cov-update", "baseline-hash", COV_ROWS, timed);
-    }
-
-    // Multi-slot scatter: MULTI_SLOTS aggregates per group — the LMFAO
-    // batch shape (a 4-feature covariance batch is 15 slots wide) — over
-    // a code space whose payload matrix (2¹⁸ codes × 16 slots = 32 MiB)
-    // dwarfs L2, so every payload touch is a cache miss. The optimized
-    // arm walks the codes once and lands all 16 slot updates on two
-    // contiguous cache lines per group per row (`add_codes_multi`); the
-    // baseline re-walks the code buffer once per slot (`add_codes` ×
-    // MULTI_SLOTS), re-missing those same lines on every pass.
-    // Accumulators are reused across iterations (rebuilding would time
-    // the 32 MiB zeroing, not the scatter).
-    const MULTI_SLOTS: usize = 16;
-    const MULTI_SPACE: u64 = 1 << 18;
-    let mspace = KeySpace::new(&[(0, MULTI_SPACE as i64 - 1)], MULTI_SPACE).expect("multi space");
-    let mut mcol = Vec::with_capacity(ACC_ROWS);
-    for _ in 0..ACC_ROWS {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        mcol.push(((state >> 20) % MULTI_SPACE) as i64);
-    }
-    let mut mvals = vec![0.0f64; MULTI_SLOTS * ACC_ROWS];
-    for s in 0..MULTI_SLOTS {
-        for r in 0..ACC_ROWS {
-            mvals[s * ACC_ROWS + r] = ((r + s) % 89) as f64 * 0.25;
-        }
-    }
-    let mut macc_multi = GroupIndex::dense(mspace.clone(), MULTI_SLOTS);
-    let mut macc_slot = GroupIndex::dense(mspace.clone(), MULTI_SLOTS);
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || {
-            let (mut codes, mut oob) = (Vec::new(), Vec::new());
-            kernel::encode_codes(&mspace, &[&mcol], ACC_ROWS, &mut codes, &mut oob);
-            macc_multi.add_codes_multi(&codes, &mvals);
-            macc_multi.len()
-        });
-        push("group-accumulate-multi", "optimized", ACC_ROWS, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || {
-            let (mut codes, mut oob) = (Vec::new(), Vec::new());
-            kernel::encode_codes(&mspace, &[&mcol], ACC_ROWS, &mut codes, &mut oob);
-            for s in 0..MULTI_SLOTS {
-                macc_slot.add_codes(&codes, s, &mvals[s * ACC_ROWS..(s + 1) * ACC_ROWS]);
-            }
-            macc_slot.len()
-        });
-        push("group-accumulate-multi", "baseline-hash", ACC_ROWS, timed);
-    }
-
-    // Fused encode+scatter: the single-pass leaf-scan kernel that never
-    // materializes the code buffer vs the row-wise twin the engine keeps
-    // behind `vectorize = false` — per-row key assembly, per-row encode,
-    // slot-wise add. (The buffered batched kernel sits between the two;
-    // this pair, like every other, benches the fast path against the
-    // scalar shape it replaces.)
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || {
-            let mut acc = GroupIndex::dense(space.clone(), 2);
-            let cols = [&c1[..], &c2[..], &c3[..], &c4[..]];
-            kernel::encode_scatter(&cols, ACC_ROWS, &mvals[..2 * ACC_ROWS], &mut acc);
-            acc.len()
-        });
-        push("fused-encode-scatter", "optimized", ACC_ROWS, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || {
-            let mut acc = GroupIndex::dense(space.clone(), 2);
-            for r in 0..ACC_ROWS {
-                let key = [c1[r], c2[r], c3[r], c4[r]];
-                acc.add(&key, &[mvals[r], mvals[ACC_ROWS + r]]);
-            }
-            acc.len()
-        });
-        push("fused-encode-scatter", "baseline-hash", ACC_ROWS, timed);
-    }
-
-    // Radix-partitioned scatter: a 2²¹-code group space — three orders of
-    // magnitude past the default `dense_limit`, so without this PR these
-    // groups never got a dense accumulator at all and fell back to the
-    // per-row hash path. The optimized arm is the new capability (dense
-    // accumulation with the scatter bucket-sorted into L2-sized code
-    // windows, so the cache footprint stays bounded no matter how wide
-    // the space); the baseline is the hash accumulation that previously
-    // served spaces this size. Both arms reuse accumulators allocated
-    // outside the timed closure (`reset`-by-rebuild would time the 32 MiB
-    // zeroing, not the scatter).
-    const PART_ROWS: usize = 1 << 18;
-    const PART_SPACE: u64 = 1 << 21;
-    const PART_BUCKET: u64 = 1 << 15;
-    let pspace = KeySpace::new(&[(0, PART_SPACE as i64 - 1)], PART_SPACE).expect("large space");
-    let mut pcol = Vec::with_capacity(PART_ROWS);
-    let mut pvals = Vec::with_capacity(2 * PART_ROWS);
-    for _ in 0..PART_ROWS {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        pcol.push(((state >> 20) % PART_SPACE) as i64);
-    }
-    for i in 0..2 * PART_ROWS {
-        pvals.push((i % 101) as f64 * 0.125);
-    }
-    let mut part_acc = GroupIndex::dense(pspace.clone(), 2);
-    let mut hash_acc = GroupIndex::hash(2);
-    let mut pscratch = fdb_core::ScatterScratch::default();
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || {
-            let (mut codes, mut oob) = (Vec::new(), Vec::new());
-            kernel::encode_codes(&pspace, &[&pcol], PART_ROWS, &mut codes, &mut oob);
-            part_acc.add_codes_multi_partitioned(&codes, &pvals, PART_BUCKET, &mut pscratch);
-            part_acc.len()
-        });
-        push("partitioned-scatter", "optimized", PART_ROWS, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || {
-            for (r, &k) in pcol.iter().enumerate() {
-                hash_acc.add(&[k], &[pvals[r], pvals[PART_ROWS + r]]);
-            }
-            hash_acc.len()
-        });
-        push("partitioned-scatter", "baseline-hash", PART_ROWS, timed);
-    }
-
-    // Parallel-merge shape: combining K interleaved-key partials (the
-    // shard/morsel merge) by balanced pairwise tree (`tree_sum`) vs the
-    // serial coordinator fold. Keys congruent `i mod K`, so every serial
-    // step re-merges the whole accumulator — O(total·K) — while the tree
-    // touches each entry log₂ K times. Core-count independent: this is
-    // the merge *kernel*, not the scheduler.
-    const MERGE_K: usize = 64;
-    const MERGE_PER_PART: usize = 256;
-    let mring = DenseKeyedRing::new(F64Ring, &[(0, (MERGE_K * MERGE_PER_PART) as i64 - 1)])
-        .expect("dense key range");
-    let mparts: Vec<_> = (0..MERGE_K)
-        .map(|p| {
-            let mut e = mring.zero();
-            for v in 0..MERGE_PER_PART {
-                mring.add_assign(&mut e, &mring.tag(0, (v * MERGE_K + p) as i64, 1.0));
-            }
-            e
-        })
-        .collect();
-    if arms.includes("optimized") {
-        let timed = best_of(iters, || fdb_ring::tree_sum(&mring, mparts.iter().cloned()).len());
-        push("parallel-merge", "optimized", MERGE_K * MERGE_PER_PART, timed);
-    }
-    if arms.includes("baseline-hash") {
-        let timed = best_of(iters, || fdb_ring::sum(&mring, mparts.iter().cloned()).len());
-        push("parallel-merge", "baseline-hash", MERGE_K * MERGE_PER_PART, timed);
     }
     rows
 }
@@ -759,16 +345,17 @@ pub struct IvmPerf {
     pub updates: usize,
     /// One-shot `prepare` cost (materialize every view), nanoseconds.
     pub prepare_ns: u128,
-    /// Total wall time of the **maintained** arm (`delta_maintain: true`):
-    /// each delta is folded into the view tree along the owner→root path.
+    /// Total wall time of the **maintained** arm: each delta is folded
+    /// into the view tree along the owner→root path.
     pub maintained_ns: u128,
-    /// Total wall time of the **recompute** arm (`delta_maintain: false`):
-    /// each delta invalidates and re-runs the batch — the pre-delta-layer
-    /// behavior (the cross-batch view cache still serves what it can).
+    /// Total wall time of the **recompute** arm (a
+    /// [`fdb_core::MaintState::recompute`] state): each delta re-runs the
+    /// batch on the mutated database (the cross-batch view cache still
+    /// serves what it can).
     pub recompute_ns: u128,
     /// Views kept warm in place by the maintained arm
-    /// ([`fdb_core::ViewCacheStats::delta_maintained`] delta).
-    pub delta_maintained: u64,
+    /// ([`fdb_core::ViewCacheStats::views_maintained`] delta).
+    pub views_maintained: u64,
     /// Full-view rescans attributed to the dataset during the maintained
     /// arm (0 = nothing below or beside the owner→root path was scanned).
     pub maintained_rescans: u64,
@@ -812,7 +399,7 @@ pub fn ivm_maintenance(scale: f64, updates: usize) -> IvmPerf {
     let t0 = std::time::Instant::now();
     let mut st = maintained_engine.prepare(&ds.db, &q).expect("prepare");
     let prepare_ns = t0.elapsed().as_nanos();
-    let before_maintained = cache.stats().delta_maintained;
+    let before_maintained = cache.stats().views_maintained;
     let rescans = |ids: &[u64]| -> u64 { ids.iter().map(|&i| cache.stats_for_id(i).1).sum() };
     let before_rescans = rescans(&ids);
     let t1 = std::time::Instant::now();
@@ -822,19 +409,15 @@ pub fn ivm_maintenance(scale: f64, updates: usize) -> IvmPerf {
         ids.push(st.database().get(fact).expect("fact").data_id());
     }
     let maintained_ns = t1.elapsed().as_nanos();
-    let delta_maintained = cache.stats().delta_maintained - before_maintained;
+    let views_maintained = cache.stats().views_maintained - before_maintained;
     let maintained_rescans = rescans(&ids) - before_rescans;
-    // Recompute arm: the same deltas without the delta layer.
-    let recompute_engine = LmfaoEngine::with_config(EngineConfig {
-        threads: 1,
-        delta_maintain: false,
-        ..Default::default()
-    });
-    let mut st2 = recompute_engine.prepare(&ds.db, &q).expect("prepare");
+    // Recompute arm: the same deltas and engine over a state with no
+    // maintained structure.
+    let mut st2 = fdb_core::MaintState::recompute(ds.db.clone(), q.clone());
     let t2 = std::time::Instant::now();
     let mut last2 = None;
     for d in &deltas {
-        last2 = Some(recompute_engine.apply_delta(&mut st2, d).expect("delta"));
+        last2 = Some(maintained_engine.apply_delta(&mut st2, d).expect("delta"));
     }
     let recompute_ns = t2.elapsed().as_nanos();
     // Agreement: both arms must end on identical aggregates.
@@ -859,7 +442,7 @@ pub fn ivm_maintenance(scale: f64, updates: usize) -> IvmPerf {
         prepare_ns,
         maintained_ns,
         recompute_ns,
-        delta_maintained,
+        views_maintained,
         maintained_rescans,
     }
 }
@@ -1257,20 +840,14 @@ pub fn frontdoor_bench(
     }
 }
 
-/// Speedup table: per `(bench, engine)`, `baseline-hash / optimized` —
-/// and for the sharding rows, `single-shard / sharded` (cross-core
-/// scaling of the shard layer).
+/// Speedup table: per sharded `(bench, engine)`, `single-shard / sharded`
+/// (cross-core scaling of the shard layer).
 pub fn speedups(rows: &[PerfRow]) -> Vec<(&'static str, &'static str, f64)> {
     let mut out = Vec::new();
-    for row in rows {
-        let base_config = match row.config {
-            "optimized" => "baseline-hash",
-            "sharded" => "single-shard",
-            _ => continue,
-        };
+    for row in rows.iter().filter(|r| r.config == "sharded") {
         if let Some(base) = rows
             .iter()
-            .find(|r| r.bench == row.bench && r.engine == row.engine && r.config == base_config)
+            .find(|r| r.bench == row.bench && r.engine == row.engine && r.config == "single-shard")
         {
             out.push((row.bench, row.engine, base.wall_ns as f64 / row.wall_ns.max(1) as f64));
         }
@@ -1288,7 +865,7 @@ fn caches_json() -> String {
         "{{\n    \"sort\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
          \"entries\": {}, \"bytes\": {}, \"stripes\": {}, \"contended\": {}}},\n    \
          \"view\": {{\"hits\": {}, \"misses\": {}, \
-         \"views_reused\": {}, \"views_rescanned\": {}, \"delta_maintained\": {}, \
+         \"views_reused\": {}, \"views_rescanned\": {}, \"views_maintained\": {}, \
          \"evictions\": {}, \"entries\": {}, \"bytes\": {}, \"stripes\": {}, \
          \"contended\": {}}}\n  }}",
         s.hits,
@@ -1302,7 +879,7 @@ fn caches_json() -> String {
         v.misses,
         v.views_reused,
         v.views_rescanned,
-        v.delta_maintained,
+        v.views_maintained,
         v.evictions,
         v.entries,
         v.bytes,
@@ -1311,16 +888,16 @@ fn caches_json() -> String {
     )
 }
 
-/// Serializes the rows (plus optional CART and IVM accounting) as the
+/// Serializes the rows and the per-arm accounting as the
 /// `BENCH_engines.json` document.
 pub fn to_json(
     rows: &[PerfRow],
-    cart: Option<&CartSorts>,
-    views: Option<&CartViewReuse>,
-    ivm: Option<&IvmPerf>,
-    fault: Option<&FaultOverhead>,
-    serving: Option<&ServingPerf>,
-    frontdoor: Option<&FrontDoorPerf>,
+    cart: &CartSorts,
+    views: &CartViewReuse,
+    ivm: &IvmPerf,
+    fault: &FaultOverhead,
+    serving: &ServingPerf,
+    frontdoor: &FrontDoorPerf,
 ) -> String {
     let mut s = String::from("{\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -1349,105 +926,93 @@ pub fn to_json(
         ));
     }
     s.push('}');
-    if let Some(c) = cart {
-        s.push_str(&format!(
-            ",\n  \"cart\": {{\"relations\": {}, \"first_fit_sorts\": {}, \
-             \"second_fit_sorts\": {}, \"leaves\": {}}}",
-            c.relations, c.first_fit_sorts, c.second_fit_sorts, c.leaves
-        ));
-    }
-    if let Some(v) = views {
-        s.push_str(&format!(
-            ",\n  \"cart_view_reuse\": {{\"bench\": \"cart-retailer\", \"batches_run\": {}, \
-             \"leaves\": {}, \"view_lookups\": {}, \"views_reused\": {}, \
-             \"views_rescanned\": {}, \"warm_views_rescanned\": {}, \"reuse_ratio\": {:.3}, \
-             \"cold_wall_ns\": {}, \"warm_wall_ns\": {}, \"warm_speedup\": {:.3}}}",
-            v.batches_run,
-            v.leaves,
-            v.view_lookups,
-            v.views_reused,
-            v.views_rescanned,
-            v.warm_views_rescanned,
-            v.reuse_ratio(),
-            v.cold_wall_ns,
-            v.warm_wall_ns,
-            v.warm_speedup()
-        ));
-    }
-    if let Some(p) = ivm {
-        s.push_str(&format!(
-            ",\n  \"ivm\": {{\"bench\": \"ivm-retailer\", \"updates\": {}, \
-             \"prepare_ns\": {}, \"maintained_ns\": {}, \"recompute_ns\": {}, \
-             \"updates_per_sec\": {:.0}, \"delta_vs_recompute_speedup\": {:.3}, \
-             \"delta_maintained\": {}, \"maintained_rescans\": {}}}",
-            p.updates,
-            p.prepare_ns,
-            p.maintained_ns,
-            p.recompute_ns,
-            p.updates_per_sec(),
-            p.speedup(),
-            p.delta_maintained,
-            p.maintained_rescans
-        ));
-    }
-    if let Some(f) = fault {
-        s.push_str(&format!(
-            ",\n  \"fault_overhead\": {{\"sites_compiled_in\": {}, \"calls\": {}, \
-             \"baseline_ns\": {}, \"checked_ns\": {}, \"ns_per_check\": {:.4}, \
-             \"apply_delta_ns\": {}, \"overhead_fraction_per_delta\": {:.6}}}",
-            f.sites_compiled_in,
-            f.calls,
-            f.baseline_ns,
-            f.checked_ns,
-            f.ns_per_check(),
-            f.apply_delta_ns,
-            f.overhead_fraction_per_delta()
-        ));
-    }
-    if let Some(p) = serving {
-        s.push_str(&format!(
-            ",\n  \"serving\": {{\"bench\": \"serving-retailer\", \"readers\": {}, \
-             \"queries_per_reader\": {}, \"updates\": {}, \"qps_single_reader\": {:.1}, \
-             \"qps_multi_reader\": {:.1}, \"reader_scaling\": {:.3}, \"deltas_applied\": {}, \
-             \"sort_hits\": {}, \"sort_contended\": {}, \"sort_stripes\": {}, \
-             \"view_hits\": {}, \"view_contended\": {}, \"view_stripes\": {}}}",
-            p.readers,
-            p.queries_per_reader,
-            p.updates,
-            p.qps_single(),
-            p.qps_multi(),
-            p.reader_scaling(),
-            p.deltas_applied,
-            p.sort_hits,
-            p.sort_contended,
-            p.sort_stripes,
-            p.view_hits,
-            p.view_contended,
-            p.view_stripes
-        ));
-    }
-    if let Some(p) = frontdoor {
-        s.push_str(&format!(
-            ",\n  \"frontdoor\": {{\"bench\": \"frontdoor-retailer\", \"producers\": {}, \
-             \"readers\": {}, \"per_producer\": {}, \"queue_capacity\": {}, \
-             \"submitted\": {}, \"batches_committed\": {}, \"coalesced\": {}, \
-             \"coalescing_factor\": {:.3}, \"submit_qps\": {:.1}, \"submit_p50_ns\": {}, \
-             \"submit_p99_ns\": {}, \"read_qps\": {:.1}, \"queries\": {}}}",
-            p.producers,
-            p.readers,
-            p.per_producer,
-            p.queue_capacity,
-            p.submitted,
-            p.batches_committed,
-            p.coalesced,
-            p.coalescing_factor(),
-            p.submit_qps(),
-            p.submit_p50_ns,
-            p.submit_p99_ns,
-            p.read_qps(),
-            p.queries
-        ));
-    }
+    s.push_str(&format!(
+        ",\n  \"cart\": {{\"relations\": {}, \"first_fit_sorts\": {}, \
+         \"second_fit_sorts\": {}, \"leaves\": {}}}",
+        cart.relations, cart.first_fit_sorts, cart.second_fit_sorts, cart.leaves
+    ));
+    s.push_str(&format!(
+        ",\n  \"cart_view_reuse\": {{\"bench\": \"cart-retailer\", \"batches_run\": {}, \
+         \"leaves\": {}, \"view_lookups\": {}, \"views_reused\": {}, \
+         \"views_rescanned\": {}, \"warm_views_rescanned\": {}, \"reuse_ratio\": {:.3}, \
+         \"cold_wall_ns\": {}, \"warm_wall_ns\": {}, \"warm_speedup\": {:.3}}}",
+        views.batches_run,
+        views.leaves,
+        views.view_lookups,
+        views.views_reused,
+        views.views_rescanned,
+        views.warm_views_rescanned,
+        views.reuse_ratio(),
+        views.cold_wall_ns,
+        views.warm_wall_ns,
+        views.warm_speedup()
+    ));
+    s.push_str(&format!(
+        ",\n  \"ivm\": {{\"bench\": \"ivm-retailer\", \"updates\": {}, \
+         \"prepare_ns\": {}, \"maintained_ns\": {}, \"recompute_ns\": {}, \
+         \"updates_per_sec\": {:.0}, \"delta_vs_recompute_speedup\": {:.3}, \
+         \"views_maintained\": {}, \"maintained_rescans\": {}}}",
+        ivm.updates,
+        ivm.prepare_ns,
+        ivm.maintained_ns,
+        ivm.recompute_ns,
+        ivm.updates_per_sec(),
+        ivm.speedup(),
+        ivm.views_maintained,
+        ivm.maintained_rescans
+    ));
+    s.push_str(&format!(
+        ",\n  \"fault_overhead\": {{\"sites_compiled_in\": {}, \"calls\": {}, \
+         \"baseline_ns\": {}, \"checked_ns\": {}, \"ns_per_check\": {:.4}, \
+         \"apply_delta_ns\": {}, \"overhead_fraction_per_delta\": {:.6}}}",
+        fault.sites_compiled_in,
+        fault.calls,
+        fault.baseline_ns,
+        fault.checked_ns,
+        fault.ns_per_check(),
+        fault.apply_delta_ns,
+        fault.overhead_fraction_per_delta()
+    ));
+    s.push_str(&format!(
+        ",\n  \"serving\": {{\"bench\": \"serving-retailer\", \"readers\": {}, \
+         \"queries_per_reader\": {}, \"updates\": {}, \"qps_single_reader\": {:.1}, \
+         \"qps_multi_reader\": {:.1}, \"reader_scaling\": {:.3}, \"deltas_applied\": {}, \
+         \"sort_hits\": {}, \"sort_contended\": {}, \"sort_stripes\": {}, \
+         \"view_hits\": {}, \"view_contended\": {}, \"view_stripes\": {}}}",
+        serving.readers,
+        serving.queries_per_reader,
+        serving.updates,
+        serving.qps_single(),
+        serving.qps_multi(),
+        serving.reader_scaling(),
+        serving.deltas_applied,
+        serving.sort_hits,
+        serving.sort_contended,
+        serving.sort_stripes,
+        serving.view_hits,
+        serving.view_contended,
+        serving.view_stripes
+    ));
+    s.push_str(&format!(
+        ",\n  \"frontdoor\": {{\"bench\": \"frontdoor-retailer\", \"producers\": {}, \
+         \"readers\": {}, \"per_producer\": {}, \"queue_capacity\": {}, \
+         \"submitted\": {}, \"batches_committed\": {}, \"coalesced\": {}, \
+         \"coalescing_factor\": {:.3}, \"submit_qps\": {:.1}, \"submit_p50_ns\": {}, \
+         \"submit_p99_ns\": {}, \"read_qps\": {:.1}, \"queries\": {}}}",
+        frontdoor.producers,
+        frontdoor.readers,
+        frontdoor.per_producer,
+        frontdoor.queue_capacity,
+        frontdoor.submitted,
+        frontdoor.batches_committed,
+        frontdoor.coalesced,
+        frontdoor.coalescing_factor(),
+        frontdoor.submit_qps(),
+        frontdoor.submit_p50_ns,
+        frontdoor.submit_p99_ns,
+        frontdoor.read_qps(),
+        frontdoor.queries
+    ));
     s.push_str(&format!(",\n  \"caches\": {}", caches_json()));
     s.push_str("\n}\n");
     s
@@ -1460,50 +1025,28 @@ mod tests {
     #[test]
     fn arms_and_checksums_agree() {
         let _guard = crate::timing_lock();
-        let rows = run_all_with_shards(0.02, 1, Arms::Both, 3);
-        assert_eq!(
-            rows.len(),
-            34,
-            "2 benches × (3 engines × 2 arms + sharded pair) + zipf pair + 8 kernels × 2 arms"
-        );
+        let rows = run_all(0.02, 1, 3);
+        assert_eq!(rows.len(), 12, "2 benches × (3 engines + sharded pair) + zipf pair");
         assert!(rows.iter().all(|r| r.available_cores >= 1));
         assert!(rows.iter().all(|r| r.threads >= 1 && r.morsel_rows >= 1));
-        // Paired arms must emit identical group counts: optimized vs
-        // baseline-hash per engine, and sharded vs single-shard (the
-        // merge must reconstruct exactly the unsharded key sets).
-        for r in rows.iter().filter(|r| r.config == "optimized" || r.config == "sharded") {
-            let base_config =
-                if r.config == "optimized" { "baseline-hash" } else { "single-shard" };
-            let base = rows
-                .iter()
-                .find(|b| b.bench == r.bench && b.engine == r.engine && b.config == base_config)
-                .expect("paired row");
-            assert_eq!(r.groups, base.groups, "{}/{}", r.bench, r.engine);
+        // Every row of a bench must emit the same group count: the three
+        // engines agree, and the shard merge reconstructs exactly the
+        // unsharded key sets.
+        for r in &rows {
+            let first = rows.iter().find(|b| b.bench == r.bench).expect("own bench");
+            assert_eq!(r.groups, first.groups, "{}/{}/{}", r.bench, r.engine, r.config);
             assert!(r.groups > 0, "{}/{} emitted no groups", r.bench, r.engine);
         }
-        // The sharded pair also matches the plain engines' checksum.
-        let lmfao = rows
-            .iter()
-            .find(|r| r.engine == "lmfao" && r.config == "optimized")
-            .expect("lmfao row");
-        let sharded = rows
-            .iter()
-            .find(|r| {
-                r.bench == lmfao.bench && r.engine == "sharded-lmfao" && r.config == "sharded"
-            })
-            .expect("sharded row");
-        assert_eq!(sharded.groups, lmfao.groups, "sharded checksum matches unsharded");
         let json = to_json(
             &rows,
-            Some(&CartSorts::default()),
-            Some(&CartViewReuse::default()),
-            Some(&IvmPerf::default()),
-            Some(&FaultOverhead::default()),
-            Some(&ServingPerf::default()),
-            Some(&FrontDoorPerf::default()),
+            &CartSorts::default(),
+            &CartViewReuse::default(),
+            &IvmPerf::default(),
+            &FaultOverhead::default(),
+            &ServingPerf::default(),
+            &FrontDoorPerf::default(),
         );
         assert!(json.contains("\"speedups\""));
-        assert!(json.contains("grouped-covariance/lmfao"));
         assert!(json.contains("grouped-covariance/sharded-lmfao"));
         assert!(json.contains("\"cart\""));
         assert!(json.contains("\"cart_view_reuse\""));
@@ -1512,7 +1055,7 @@ mod tests {
         assert!(json.contains("\"caches\""));
         assert!(json.contains("\"sort\"") && json.contains("\"view\""));
         assert!(json.contains("\"stripes\"") && json.contains("\"contended\""));
-        assert!(json.contains("\"delta_maintained\""));
+        assert!(json.contains("\"views_maintained\""));
         assert!(json.contains("\"fault_overhead\""));
         assert!(json.contains("\"overhead_fraction_per_delta\""));
         assert!(json.contains("\"serving\""));
@@ -1596,17 +1139,9 @@ mod tests {
         // in-place maintenance — the counter moves, and nothing below or
         // beside the owner→root path is rescanned (the agreement with the
         // recompute arm is asserted inside `ivm_maintenance`).
-        assert!(p.delta_maintained > 0, "fact inserts maintained in place");
+        assert!(p.views_maintained > 0, "fact inserts maintained in place");
         assert_eq!(p.maintained_rescans, 0, "no full-view rescans during maintenance");
         assert!(p.updates_per_sec() > 0.0);
         assert!(p.prepare_ns > 0 && p.recompute_ns > 0);
-    }
-
-    #[test]
-    fn baseline_only_arm_filters_rows() {
-        let _guard = crate::timing_lock();
-        let rows = run_all(0.02, 1, Arms::BaselineOnly);
-        assert!(!rows.is_empty());
-        assert!(rows.iter().all(|r| r.config == "baseline-hash"));
     }
 }

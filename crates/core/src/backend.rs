@@ -24,7 +24,7 @@ use crate::exec::{filter_pass, run_batch, Col};
 use crate::group::{GroupIndex, KeySpace, DEFAULT_DENSE_GROUPS};
 use crate::ir::{sorted_groups, AggQuery, BatchResult};
 use crate::parallel::EngineConfig;
-use fdb_data::{DataError, Database, SortCache, Value};
+use fdb_data::{DataError, Database, Value};
 use fdb_factorized::EvalSpec;
 use fdb_query::{natural_join_all, Predicate, ScalarExpr};
 use fdb_ring::{DenseKeyedRing, F64Ring, KeyedRing, Semiring};
@@ -239,39 +239,18 @@ impl Engine for FlatEngine {
 /// materialized, but — unlike LMFAO — nothing is shared across the batch
 /// beyond the sorted views (cached across runs) and the per-group-by-set
 /// evaluation specs.
-#[derive(Debug, Clone, Copy)]
-pub struct FactorizedEngine {
-    /// Aggregate grouped queries in the dense keyed ring
-    /// ([`fdb_ring::DenseKeyedRing`]) when the group attributes' code
-    /// ranges are known; `false` keeps the hash-map
-    /// [`fdb_ring::KeyedRing`] (the perf-regression baseline).
-    pub dense_groups: bool,
-    /// Serve sorted relation views from the global
-    /// [`SortCache`](fdb_data::SortCache); `false` re-sorts every run.
-    pub use_sort_cache: bool,
-    /// Use the batched 1-/2-way intersection collectors of the trie layer
-    /// ([`EvalSpec::set_vectorize`]); `false` pins the generic callback
-    /// leapfrog — the scalar baseline of the kernel microbenches.
-    pub vectorize: bool,
-}
-
-impl Default for FactorizedEngine {
-    fn default() -> Self {
-        Self { dense_groups: true, use_sort_cache: true, vectorize: true }
-    }
-}
+///
+/// Grouped aggregates accumulate in the dense keyed ring
+/// ([`DenseKeyedRing`]) whenever it accepts the group attributes' code
+/// ranges, in the hash-map [`KeyedRing`] otherwise; sorted relation views
+/// come from the global [`SortCache`](fdb_data::SortCache).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FactorizedEngine;
 
 impl FactorizedEngine {
-    /// The default configuration (dense groups + sort cache).
+    /// The engine (it has no configuration).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The pre-optimization configuration: hash-map keyed ring, fresh
-    /// sorts every run, row-at-a-time leapfrog. The `--baseline-hash`
-    /// arm of the perf harness.
-    pub fn baseline_hash() -> Self {
-        Self { dense_groups: false, use_sort_cache: false, vectorize: false }
+        Self
     }
 }
 
@@ -340,12 +319,11 @@ impl FactorizedEngine {
     /// relation's column — leapfrog matches lie in every participant's
     /// range, so one bound suffices.
     fn dense_ring(
-        &self,
         spec: &EvalSpec,
         nrels: usize,
         gattrs: &[String],
     ) -> Option<DenseKeyedRing<F64Ring>> {
-        if !self.dense_groups || gattrs.is_empty() {
+        if gattrs.is_empty() {
             return None;
         }
         let ranges: Option<Vec<(i64, i64)>> = gattrs
@@ -364,7 +342,6 @@ impl FactorizedEngine {
     /// sorted group-by attribute list (the spec's extra variables) and
     /// `dense` the group-by-set's precomputed dense ring (`None` = hash).
     fn eval_one(
-        &self,
         spec: &EvalSpec,
         nrels: usize,
         gattrs: &[String],
@@ -451,16 +428,14 @@ impl Engine for FactorizedEngine {
                 Some(i) => i,
                 None => {
                     let grefs: Vec<&str> = gattrs.iter().map(String::as_str).collect();
-                    let cache = self.use_sort_cache.then(SortCache::global);
-                    let mut spec = EvalSpec::new_with_cache(db, &rels, &grefs, cache)?;
-                    spec.set_vectorize(self.vectorize);
-                    let ring = self.dense_ring(&spec, rels.len(), &gattrs);
+                    let spec = EvalSpec::new(db, &rels, &grefs)?;
+                    let ring = Self::dense_ring(&spec, rels.len(), &gattrs);
                     specs.push((gattrs.clone(), spec, ring));
                     specs.len() - 1
                 }
             };
             let (_, spec, ring) = &specs[spec_idx];
-            let map = self.eval_one(spec, rels.len(), &gattrs, ring.as_ref(), agg)?;
+            let map = Self::eval_one(spec, rels.len(), &gattrs, ring.as_ref(), agg)?;
             groups.push(gattrs);
             values.push(map);
         }

@@ -4,7 +4,8 @@
 //! engine does — sequentially, each with its own scan of the (materialized)
 //! data matrix and its own hash table. The contrast with LMFAO's shared,
 //! factorized evaluation of the same batch is what Figure 4 (left)
-//! measures, and the perf harness's `flat/baseline-hash` arm times.
+//! measures. Deliberately naive, it is also the oracle the agreement
+//! suites compare every engine against.
 //!
 //! This module moved here from `fdb-query` so that **all** aggregate
 //! evaluation lives in one crate behind one layering: `fdb-query` supplies

@@ -142,12 +142,7 @@ impl Engine for DispatchEngine {
         q.validate(db)?;
         match self.choose(db, q)? {
             EngineChoice::Flat => FlatEngine.run(db, q),
-            EngineChoice::Factorized => FactorizedEngine {
-                dense_groups: self.cfg.dense_limit > 0,
-                vectorize: self.cfg.vectorize,
-                ..FactorizedEngine::new()
-            }
-            .run(db, q),
+            EngineChoice::Factorized => FactorizedEngine::new().run(db, q),
             EngineChoice::Lmfao | EngineChoice::Auto => {
                 LmfaoEngine::with_config(self.cfg).run(db, q)
             }

@@ -29,17 +29,9 @@ pub(crate) struct CacheCtx<'a> {
 
 impl<'a> CacheCtx<'a> {
     pub(crate) fn new(cache: &'a ViewCache, plan: &Plan, cfg: &EngineConfig) -> Self {
-        let mut sigs = plan.subtree_signatures(cfg.dense_limit);
-        // Batched and row-wise scans differ in float summation order, so
-        // the baseline arm must never serve views cached by the default.
-        if !cfg.vectorize {
-            for s in &mut sigs {
-                s.push_str("#rowwise");
-            }
-        }
         Self {
             cache,
-            sigs,
+            sigs: plan.subtree_signatures(cfg.dense_limit),
             head_ids: plan.rels.iter().map(|r| r.data_id()).collect(),
             budget: cfg.view_cache_bytes,
         }
@@ -206,7 +198,7 @@ pub(crate) fn compute_node_over(
     // Leaf nodes (no children to probe) take the batch-at-a-time kernel
     // path: per-slot factor/filter passes run column-wise over morsel-sized
     // row batches instead of row-at-a-time.
-    if cfg.specialize && cfg.vectorize && nchildren == 0 {
+    if cfg.specialize && nchildren == 0 {
         compute_leaf_batched(np, &cols, cfg, rows, &mut out, &scalar_view, &mut scalar_payloads);
         for (vi, payload) in scalar_payloads.into_iter().enumerate() {
             if scalar_view[vi] {
@@ -383,10 +375,9 @@ pub(crate) fn compute_node_over(
 }
 
 /// Per-worker scratch arena for the batched leaf scan: slot-value
-/// stripes, code buffers, key buffers, and the radix-partition scratch.
-/// Thread-local, so morsel workers stop allocating per (node, morsel)
-/// call after their first — the buffers warm up to the working sizes and
-/// stay.
+/// stripes, code buffers, and key buffers. Thread-local, so morsel workers
+/// stop allocating per (node, morsel) call after their first — the buffers
+/// warm up to the working sizes and stay.
 #[derive(Default)]
 struct LeafScratch {
     slot_vals: Vec<f64>,
@@ -395,7 +386,6 @@ struct LeafScratch {
     oob: Vec<u64>,
     key_buf: Vec<i64>,
     gkey_buf: Vec<i64>,
-    scatter: crate::group::ScatterScratch,
 }
 
 thread_local! {
@@ -405,14 +395,13 @@ thread_local! {
 /// How one view's batch scatters into its accumulators — decided once per
 /// `compute_leaf_batched` call (loop-invariant across batches).
 enum ScatterMode {
-    /// Per-row `entry_mut` + `payload_mut` — the row-wise twin, kept for
-    /// hash-backed levels or float-typed key/group columns.
+    /// Per-row `entry_mut` + `payload_mut` — the fallback for hash-backed
+    /// levels or float-typed key/group columns.
     RowWise,
-    /// No join key: one view entry, so the whole batch fuses into a single
-    /// encode+scatter pass ([`crate::kernel::encode_scatter`]) — or, past
-    /// the [`EngineConfig::scatter_partition_groups`] threshold, a
-    /// radix-partitioned scatter. `gcols` is the group column per slot
-    /// position.
+    /// No join key: one view entry, so the whole batch is one
+    /// [`crate::kernel::encode_codes`] pass plus one
+    /// [`GroupIndex::add_codes_multi`] scatter — the same two calls the
+    /// flat engine makes. `gcols` is the group column per slot position.
     SingleEntry { gcols: Vec<usize> },
     /// Dense join-key *and* group spaces: both key levels batch-encode
     /// ([`crate::kernel::encode_codes`]) and each row resolves its entry
@@ -427,9 +416,9 @@ enum ScatterMode {
 /// batch (factor products via [`crate::kernel::mul_by`], filters via
 /// [`crate::kernel::mask_by`] — a select to `0.0`, preserving the row-wise
 /// path's skip semantics exactly), then scattered into the accumulators
-/// with the fused multi-slot kernels (see [`ScatterMode`]); every fast
-/// path is bit-identical to the row-wise twin, which `vectorize = false`
-/// pins. Scalar views reduce each batch with one deterministic slice sum.
+/// with the multi-slot kernels (see [`ScatterMode`]), each adding cells in
+/// row order exactly like the row-wise fallback. Scalar views reduce each
+/// batch with one deterministic slice sum.
 fn compute_leaf_batched(
     np: &crate::plan::NodePlan,
     cols: &[Col<'_>],
@@ -525,23 +514,8 @@ fn compute_leaf_batched(
                             gcols.iter().map(|&c| int_slice(c, lo, hi)).collect();
                         let entry = out[vi].entry_mut(&[], &vp.spec);
                         let gspace = vp.spec.space.as_ref().expect("mode requires dense groups");
-                        if gspace.size() > cfg.scatter_partition_groups {
-                            crate::kernel::encode_codes(
-                                gspace,
-                                &gslices,
-                                n,
-                                &mut s.gcodes,
-                                &mut s.oob,
-                            );
-                            entry.add_codes_multi_partitioned(
-                                &s.gcodes,
-                                &s.slot_vals,
-                                cfg.scatter_partition_groups,
-                                &mut s.scatter,
-                            );
-                        } else {
-                            crate::kernel::encode_scatter(&gslices, n, &s.slot_vals, entry);
-                        }
+                        crate::kernel::encode_codes(gspace, &gslices, n, &mut s.gcodes, &mut s.oob);
+                        entry.add_codes_multi(&s.gcodes, &s.slot_vals);
                     }
                     ScatterMode::Keyed { gcols } => {
                         let kslices: Vec<&[i64]> =

@@ -25,19 +25,11 @@ use std::collections::HashMap;
 /// (the [`crate::EngineConfig::dense_limit`] default).
 pub const DEFAULT_DENSE_GROUPS: u64 = 1024;
 
-/// Reusable buffers for the radix-partitioned scatter
-/// ([`GroupIndex::add_codes_multi_partitioned`]): per-bucket counts plus
-/// the stably bucket-sorted codes and their payload rows. The values are
-/// permuted *with* their codes so the per-bucket accumulate pass reads
-/// everything sequentially — the only non-streaming access left is the
-/// bucket-sized payload window itself. Morsel workers keep one scratch per
-/// thread so the partitioning pass stops allocating after warm-up.
-#[derive(Debug, Default)]
-pub struct ScatterScratch {
-    counts: Vec<usize>,
-    codes: Vec<u32>,
-    vals: Vec<f64>,
-}
+/// Ceiling on the payload matrix (`codes × slots × 8` bytes) of one dense
+/// group accumulator. A view holds one accumulator per join key, so
+/// [`crate::EngineConfig::dense_limit`] alone cannot bound the allocation;
+/// the planner hashes any group space past this, whatever the limit says.
+pub(crate) const DENSE_GROUP_BYTES: u64 = 64 << 20;
 
 /// Ceiling on composite join-key codes per dense view map. Join-key spaces
 /// cost 4 bytes per code (a slot table), so they may be much larger than
@@ -273,62 +265,17 @@ impl GroupIndex {
         }
     }
 
-    /// Batched scatter-add: `payload(codes[r])[slot] += vals[r]` for every
-    /// row, skipping [`crate::kernel::OOB_CODE`] rows. Codes come from
-    /// [`crate::kernel::encode_codes`] over this accumulator's space. Every
-    /// in-range code is touched even when its value is zero, matching the
-    /// row-wise path's touch-before-filter order. Dense accumulators only;
-    /// batched callers gate on [`GroupIndex::key_space`].
-    pub fn add_codes(&mut self, codes: &[u64], slot: usize, vals: &[f64]) {
-        debug_assert_eq!(codes.len(), vals.len());
-        match self {
-            GroupIndex::Dense { space, slots, data, present, touched } => {
-                let (stride, size) = (*slots, space.size);
-                assert!(slot < stride, "slot {slot} out of {stride} payload slots");
-                // One branch-free validation pass over the (cache-hot) codes
-                // so the scatter below can skip per-row bounds checks: every
-                // code is the sentinel or strictly inside the space.
-                let mut bad = false;
-                for &code in codes {
-                    bad |= code != crate::kernel::OOB_CODE && code >= size;
-                }
-                assert!(!bad, "add_codes: code outside the accumulator's space");
-                for (&code, &v) in codes.iter().zip(vals) {
-                    if code == crate::kernel::OOB_CODE {
-                        continue;
-                    }
-                    let c = code as usize;
-                    let (w, b) = (c / 64, 1u64 << (c % 64));
-                    // SAFETY: validated above — `c < size`, so `w <
-                    // present.len() = ceil(size/64)` and `c*stride + slot <
-                    // size*stride = data.len()` with `slot < stride`.
-                    unsafe {
-                        let p = present.get_unchecked_mut(w);
-                        if *p & b == 0 {
-                            *p |= b;
-                            touched.push(code as u32);
-                        }
-                        *data.get_unchecked_mut(c * stride + slot) += v;
-                    }
-                }
-            }
-            GroupIndex::Hash { .. } => {
-                unreachable!("add_codes requires a dense accumulator; gate on key_space()")
-            }
-        }
-    }
-
-    /// Fused multi-slot scatter-add: one walk over `codes` updating the
-    /// whole contiguous payload row of each code, instead of one
-    /// [`GroupIndex::add_codes`] pass per slot. `vals` is **slot-major**
-    /// (`vals[s * codes.len() + r]` is slot `s` of row `r`) — exactly the
-    /// stripe layout the batched leaf scan and the flat engine already
-    /// build — so converting a per-slot loop needs no re-layout, only one
-    /// concatenated buffer. Per-cell addition order matches the per-slot
-    /// twin (row order), so results are bit-identical; so is the
-    /// first-touch order (first in-range row wins either way).
-    /// [`crate::kernel::OOB_CODE`] rows are skipped. Dense accumulators
-    /// only; batched callers gate on [`GroupIndex::key_space`].
+    /// Batched multi-slot scatter-add: one walk over `codes` (from
+    /// [`crate::kernel::encode_codes`] over this accumulator's space)
+    /// updating the whole contiguous payload row of each code. `vals` is
+    /// **slot-major** (`vals[s * codes.len() + r]` is slot `s` of row `r`)
+    /// — exactly the stripe layout the batched leaf scan and the flat
+    /// engine build. Cells are added in row order and every in-range code
+    /// is touched even when its values are zero, so results and
+    /// first-touch order match a per-row [`GroupIndex::payload_mut`] loop
+    /// bit for bit. [`crate::kernel::OOB_CODE`] rows are skipped. Dense
+    /// accumulators only; batched callers gate on
+    /// [`GroupIndex::key_space`].
     pub fn add_codes_multi(&mut self, codes: &[u64], vals: &[f64]) {
         match self {
             GroupIndex::Dense { space, slots, data, present, touched } => {
@@ -366,108 +313,6 @@ impl GroupIndex {
             }
             GroupIndex::Hash { .. } => {
                 unreachable!("add_codes_multi requires a dense accumulator; gate on key_space()")
-            }
-        }
-    }
-
-    /// [`GroupIndex::add_codes_multi`] with software write-combining: when
-    /// the code space is much larger than the cache, a direct scatter
-    /// misses on almost every payload write. This variant first
-    /// bucket-sorts the rows into ranges of `bucket_codes` consecutive
-    /// codes (sized so one bucket's payload rows fit in L2 — see
-    /// [`crate::parallel::EngineConfig::scatter_partition_groups`]),
-    /// carrying each row's payload values along with its code, then
-    /// scatters bucket by bucket: the accumulate pass streams codes and
-    /// values sequentially and confines its random writes to one
-    /// cache-sized window of the payload matrix. `bucket_codes` is rounded
-    /// up to a power of two so bucket extraction is a shift, not a per-row
-    /// division. The bucket sort is stable, so per-cell addition order
-    /// (and therefore every float sum) is bit-identical to the
-    /// unpartitioned scatter; only the first-touch *order* of distinct
-    /// codes differs (bucket-major), which no result contract depends on.
-    /// Spaces at or under `bucket_codes` delegate to the direct scatter.
-    pub fn add_codes_multi_partitioned(
-        &mut self,
-        codes: &[u64],
-        vals: &[f64],
-        bucket_codes: u64,
-        scratch: &mut ScatterScratch,
-    ) {
-        let size = match self {
-            GroupIndex::Dense { space, .. } => space.size,
-            GroupIndex::Hash { .. } => unreachable!(
-                "add_codes_multi_partitioned requires a dense accumulator; gate on key_space()"
-            ),
-        };
-        let bucket_codes = bucket_codes.max(1).next_power_of_two();
-        if size <= bucket_codes || codes.len() < 2 {
-            return self.add_codes_multi(codes, vals);
-        }
-        let GroupIndex::Dense { space: _, slots, data, present, touched } = self else {
-            unreachable!("checked above");
-        };
-        let (stride, n) = (*slots, codes.len());
-        assert_eq!(vals.len(), n * stride, "add_codes_multi_partitioned: slot-major vals length");
-        assert!(size <= u64::from(u32::MAX) + 1, "partitioned scatter code fits u32");
-        let mut bad = false;
-        for &code in codes {
-            bad |= code != crate::kernel::OOB_CODE && code >= size;
-        }
-        assert!(!bad, "add_codes_multi_partitioned: code outside the accumulator's space");
-        // Stable counting sort of the in-range rows by bucket; bucket
-        // extraction is a shift (`bucket_codes` is a power of two).
-        let shift = bucket_codes.trailing_zeros();
-        let nbuckets = (size >> shift) as usize + usize::from(size & (bucket_codes - 1) != 0);
-        scratch.counts.clear();
-        scratch.counts.resize(nbuckets + 1, 0);
-        for &code in codes {
-            if code != crate::kernel::OOB_CODE {
-                scratch.counts[(code >> shift) as usize + 1] += 1;
-            }
-        }
-        for i in 1..scratch.counts.len() {
-            scratch.counts[i] += scratch.counts[i - 1];
-        }
-        let total = *scratch.counts.last().expect("nbuckets + 1 entries");
-        scratch.codes.clear();
-        scratch.codes.resize(total, 0);
-        scratch.vals.clear();
-        scratch.vals.resize(total * stride, 0.0);
-        for (r, &code) in codes.iter().enumerate() {
-            if code == crate::kernel::OOB_CODE {
-                continue;
-            }
-            let slot = &mut scratch.counts[(code >> shift) as usize];
-            let dst = *slot;
-            *slot += 1;
-            // SAFETY: `dst < total` (the prefix sums bound each bucket's
-            // cursor) and the slot-major gather index `s * n + r` is in
-            // bounds as in `add_codes_multi`.
-            unsafe {
-                *scratch.codes.get_unchecked_mut(dst) = code as u32;
-                for s in 0..stride {
-                    *scratch.vals.get_unchecked_mut(dst * stride + s) =
-                        *vals.get_unchecked(s * n + r);
-                }
-            }
-        }
-        // Scatter one cache-sized bucket at a time: codes and payload rows
-        // stream sequentially; only the bucket window is written randomly.
-        for (i, &code) in scratch.codes.iter().enumerate() {
-            let c = code as usize;
-            let (w, b) = (c / 64, 1u64 << (c % 64));
-            // SAFETY: same bounds as `add_codes_multi` — validated above;
-            // `i < total` so the permuted payload row is in bounds.
-            unsafe {
-                let p = present.get_unchecked_mut(w);
-                if *p & b == 0 {
-                    *p |= b;
-                    touched.push(code);
-                }
-                let row = data.get_unchecked_mut(c * stride..(c + 1) * stride);
-                for (s, x) in row.iter_mut().enumerate() {
-                    *x += *scratch.vals.get_unchecked(i * stride + s);
-                }
             }
         }
     }
@@ -517,7 +362,7 @@ impl GroupIndex {
     /// Adds `payload` slot-wise to the entry at `key`. `payload` must be
     /// exactly `slots()` wide — a shorter or longer slice would silently
     /// truncate the `zip`, dropping slot sums (checked like
-    /// [`GroupIndex::add_codes`] checks its lengths).
+    /// [`GroupIndex::add_codes_multi`] checks its lengths).
     pub fn add(&mut self, key: &[i64], payload: &[f64]) {
         debug_assert_eq!(
             payload.len(),
@@ -820,61 +665,41 @@ mod tests {
         out
     }
 
-    #[test]
-    fn multi_slot_scatter_matches_per_slot_loop() {
-        let ks = KeySpace::new(&[(0, 7)], 16).unwrap();
-        let codes = [3u64, 0, crate::kernel::OOB_CODE, 3, 7];
-        let n = codes.len();
-        // Slot-major: slot 0 rows then slot 1 rows.
-        let vals = [1.0, 2.0, 4.0, 8.0, 16.0, -1.0, -2.0, -4.0, -8.0, -16.0];
-        let mut per_slot = GroupIndex::dense(ks.clone(), 2);
-        for s in 0..2 {
-            per_slot.add_codes(&codes, s, &vals[s * n..(s + 1) * n]);
-        }
-        let mut multi = GroupIndex::dense(ks.clone(), 2);
-        multi.add_codes_multi(&codes, &vals);
-        assert_eq!(sorted_pairs(&per_slot), sorted_pairs(&multi));
-        // Identical first-touch order too (row order of first occurrence).
-        let (mut a, mut b) = ((vec![], vec![]), (vec![], vec![]));
-        per_slot.flatten_pairs(&mut a.0, &mut a.1);
-        multi.flatten_pairs(&mut b.0, &mut b.1);
-        assert_eq!(a.0, b.0, "touch order");
-        // Per-row form agrees as well.
-        let mut rowed = GroupIndex::dense(ks, 2);
+    /// The per-row reference the batched scatters must reproduce:
+    /// `payload_mut` per in-range row, slot by slot.
+    fn scatter_per_row(space: &KeySpace, nslots: usize, codes: &[u64], vals: &[f64]) -> GroupIndex {
+        let (n, mut key) = (codes.len(), Vec::new());
+        let mut gi = GroupIndex::dense(space.clone(), nslots);
         for (r, &code) in codes.iter().enumerate() {
             if code != crate::kernel::OOB_CODE {
-                rowed.add_payload_row(code, &vals, r, n);
+                space.decode(code, &mut key);
+                for (s, x) in gi.payload_mut(&key).iter_mut().enumerate() {
+                    *x += vals[s * n + r];
+                }
             }
         }
-        assert_eq!(sorted_pairs(&multi), sorted_pairs(&rowed));
-        // Empty morsel: no-op, no touch.
-        let mut empty = GroupIndex::dense(KeySpace::new(&[(0, 7)], 16).unwrap(), 2);
-        empty.add_codes_multi(&[], &[]);
-        assert!(empty.is_empty());
+        gi
     }
 
     #[test]
-    fn partitioned_scatter_is_bit_identical_to_direct() {
-        // Bucket of 4 codes over a 32-code space → 8 buckets engaged.
-        let ks = KeySpace::new(&[(0, 31)], 64).unwrap();
-        let codes: Vec<u64> = (0..200u64)
-            .map(|i| if i % 17 == 0 { crate::kernel::OOB_CODE } else { (i * 11 + i * i) % 32 })
-            .collect();
-        let n = codes.len();
-        let vals: Vec<f64> = (0..3 * n).map(|i| 0.1 + (i % 13) as f64 * 0.7).collect();
-        let mut direct = GroupIndex::dense(ks.clone(), 3);
-        direct.add_codes_multi(&codes, &vals);
-        let mut parted = GroupIndex::dense(ks.clone(), 3);
-        let mut scratch = ScatterScratch::default();
-        parted.add_codes_multi_partitioned(&codes, &vals, 4, &mut scratch);
-        // Bit-identical sums (stable bucket sort preserves per-code row
-        // order), same key set; only touch *order* may differ.
-        assert_eq!(sorted_pairs(&direct), sorted_pairs(&parted));
-        // A bucket covering the whole space delegates to the direct path,
-        // and scratch reuse across calls stays correct.
-        let mut whole = GroupIndex::dense(ks, 3);
-        whole.add_codes_multi_partitioned(&codes, &vals, 1024, &mut scratch);
-        assert_eq!(sorted_pairs(&direct), sorted_pairs(&whole));
+    fn multi_slot_scatter_matches_per_row_loop() {
+        let ks = KeySpace::new(&[(0, 7)], 16).unwrap();
+        let codes = [3u64, 0, crate::kernel::OOB_CODE, 3, 7];
+        // Slot-major: slot 0 rows then slot 1 rows.
+        let vals = [1.0, 2.0, 4.0, 8.0, 16.0, -1.0, -2.0, -4.0, -8.0, -16.0];
+        let per_row = scatter_per_row(&ks, 2, &codes, &vals);
+        let mut multi = GroupIndex::dense(ks.clone(), 2);
+        multi.add_codes_multi(&codes, &vals);
+        assert_eq!(sorted_pairs(&per_row), sorted_pairs(&multi));
+        // Identical first-touch order too (row order of first occurrence).
+        let (mut a, mut b) = ((vec![], vec![]), (vec![], vec![]));
+        per_row.flatten_pairs(&mut a.0, &mut a.1);
+        multi.flatten_pairs(&mut b.0, &mut b.1);
+        assert_eq!(a.0, b.0, "touch order");
+        // Empty morsel: no-op, no touch.
+        let mut empty = GroupIndex::dense(ks, 2);
+        empty.add_codes_multi(&[], &[]);
+        assert!(empty.is_empty());
     }
 
     mod properties {
@@ -919,16 +744,15 @@ mod tests {
                 });
             }
 
-            /// Every scatter fast path — fused multi-slot, per-row, and
-            /// radix-partitioned at several bucket sizes — is bit-identical
-            /// to the per-slot `add_codes` twin, including OOB rows and
-            /// empty batches.
+            /// Both batched scatters — whole-batch `add_codes_multi` and
+            /// the keyed mode's `add_payload_row` — are bit-identical to
+            /// the per-row `payload_mut` loop, including OOB rows and empty
+            /// batches.
             #[test]
-            fn scatter_fast_paths_match_per_slot_twin(
+            fn batched_scatters_match_per_row_loop(
                 keys in proptest::collection::vec((-3i64..9, -5i64..7), 0..150),
                 raw_vals in proptest::collection::vec(-8i32..9, 0..600),
                 nslots in 1usize..5,
-                bucket in 1u64..40,
             ) {
                 // Keys outside [(0,4), (-2,2)] encode to OOB_CODE.
                 let space = KeySpace::new(&[(0, 4), (-2, 2)], 25).unwrap();
@@ -940,25 +764,17 @@ mod tests {
                 let vals: Vec<f64> = (0..nslots * n)
                     .map(|i| raw_vals.get(i % raw_vals.len().max(1)).copied().unwrap_or(0) as f64)
                     .collect();
-                let mut per_slot = GroupIndex::dense(space.clone(), nslots);
-                for s in 0..nslots {
-                    per_slot.add_codes(&codes, s, &vals[s * n..(s + 1) * n]);
-                }
                 let mut multi = GroupIndex::dense(space.clone(), nslots);
                 multi.add_codes_multi(&codes, &vals);
-                let mut parted = GroupIndex::dense(space.clone(), nslots);
-                let mut scratch = ScatterScratch::default();
-                parted.add_codes_multi_partitioned(&codes, &vals, bucket, &mut scratch);
                 let mut rowed = GroupIndex::dense(space.clone(), nslots);
                 for (r, &code) in codes.iter().enumerate() {
                     if code != crate::kernel::OOB_CODE {
                         rowed.add_payload_row(code, &vals, r, n);
                     }
                 }
-                let want = super::sorted_pairs(&per_slot);
+                let want = super::sorted_pairs(&super::scatter_per_row(&space, nslots, &codes, &vals));
                 prop_assert_eq!(&want, &super::sorted_pairs(&multi), "multi");
-                prop_assert_eq!(&want, &super::sorted_pairs(&parted), "partitioned");
-                prop_assert_eq!(&want, &super::sorted_pairs(&rowed), "per-row");
+                prop_assert_eq!(&want, &super::sorted_pairs(&rowed), "add_payload_row");
             }
         }
     }

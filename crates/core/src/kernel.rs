@@ -8,11 +8,6 @@
 //! over contiguous column slices so each becomes a straight-line pass the
 //! autovectorizer can unroll: one column at a time, branch-free bodies,
 //! out-of-range tracked as data (a sentinel code) instead of control flow.
-//!
-//! Every kernel keeps its scalar twin (`*_scalar`, or the pre-existing
-//! row-wise engine path) alive as the `baseline` arm of `perf_regression`,
-//! so the vectorized/scalar split stays an honest A/B rather than a dead
-//! code path.
 
 use crate::group::KeySpace;
 
@@ -55,93 +50,6 @@ pub fn encode_codes(
     // 0 → no-op, 1 → all-ones: out-of-range rows become the sentinel.
     for (o, &ob) in out.iter_mut().zip(oob.iter()) {
         *o |= ob.wrapping_neg();
-    }
-}
-
-/// Row-at-a-time twin of [`encode_codes`]: the scalar baseline for the
-/// kernel microbench and the property tests.
-pub fn encode_codes_scalar(space: &KeySpace, cols: &[&[i64]], rows: usize, out: &mut Vec<u64>) {
-    out.clear();
-    let mut key = Vec::with_capacity(cols.len());
-    for r in 0..rows {
-        key.clear();
-        key.extend(cols.iter().map(|c| c[r]));
-        out.push(space.encode(&key).unwrap_or(OOB_CODE));
-    }
-}
-
-/// Fused encode + multi-slot scatter: the single-pass form of
-/// [`encode_codes`] followed by
-/// [`GroupIndex::add_codes_multi`](crate::group::GroupIndex::add_codes_multi),
-/// with **no heap code buffer** — rows are encoded in L1-resident blocks
-/// (the same branch-free column-wise passes the buffered kernel
-/// vectorizes, but into a small stack array) and each block is scattered
-/// into the accumulator's contiguous payload rows before the next is
-/// encoded. This is the leaf-scan shape: one walk over the batch, one
-/// touch-bitmap probe per row, `slots` adds.
-///
-/// `vals` is slot-major (`vals[s * rows + r]`), like the batched leaf
-/// scan's stripe buffer. Out-of-range rows are skipped (the sentinel
-/// semantics of [`OOB_CODE`], without ever materializing it). Per-cell
-/// addition order is row order, so results are bit-identical to the
-/// buffered twin and to the per-slot row-wise path. `acc` must be dense
-/// over the same space `cols` is encoded against — callers gate on
-/// [`GroupIndex::key_space`](crate::group::GroupIndex::key_space).
-pub fn encode_scatter(cols: &[&[i64]], rows: usize, vals: &[f64], acc: &mut crate::GroupIndex) {
-    let crate::GroupIndex::Dense { space, slots, data, present, touched } = acc else {
-        unreachable!("encode_scatter requires a dense accumulator; gate on key_space()")
-    };
-    let stride = *slots;
-    debug_assert_eq!(cols.len(), space.arity());
-    // Hard asserts: the unchecked accesses below rely on these bounds.
-    assert_eq!(vals.len(), rows * stride, "encode_scatter: slot-major vals length");
-    for col in cols {
-        assert!(col.len() >= rows, "encode_scatter: short key column");
-    }
-    let (mins, dims, strides) = (space.mins(), space.dims(), space.strides());
-    const BLOCK: usize = 512;
-    let mut codes = [0u64; BLOCK];
-    let mut oobs = [0u64; BLOCK];
-    let mut lo = 0;
-    while lo < rows {
-        let len = BLOCK.min(rows - lo);
-        codes[..len].fill(0);
-        oobs[..len].fill(0);
-        // Column-wise branch-free encode of one block — the vectorizable
-        // shape of `encode_codes`, minus the heap buffer.
-        for i in 0..cols.len() {
-            let (min, dim, strd) = (mins[i], dims[i], strides[i]);
-            let col = &cols[i][lo..lo + len];
-            for ((o, ob), &x) in codes[..len].iter_mut().zip(oobs[..len].iter_mut()).zip(col) {
-                let d = x.wrapping_sub(min) as u64;
-                *ob |= (d >= dim) as u64;
-                *o = o.wrapping_add(d.wrapping_mul(strd));
-            }
-        }
-        for (k, (&code, &oob)) in codes[..len].iter().zip(oobs[..len].iter()).enumerate() {
-            if oob != 0 {
-                continue;
-            }
-            // Every attribute was in range, so `code < space.size()` by
-            // the mixed-radix construction — the same invariant
-            // `add_codes` re-validates on buffered codes.
-            let (r, c) = (lo + k, code as usize);
-            let (w, b) = (c / 64, 1u64 << (c % 64));
-            // SAFETY: `c < size` bounds the bitmap word and the payload
-            // row; `s * rows + r < stride * rows = vals.len()`.
-            unsafe {
-                let p = present.get_unchecked_mut(w);
-                if *p & b == 0 {
-                    *p |= b;
-                    touched.push(code as u32);
-                }
-                let row = data.get_unchecked_mut(c * stride..(c + 1) * stride);
-                for (s, x) in row.iter_mut().enumerate() {
-                    *x += *vals.get_unchecked(s * rows + r);
-                }
-            }
-        }
-        lo += len;
     }
 }
 
@@ -201,15 +109,24 @@ pub fn sum(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// The per-row reference: [`KeySpace::encode`] on each row's key.
+    fn encode_per_row(space: &KeySpace, cols: &[&[i64]], rows: usize) -> Vec<u64> {
+        (0..rows)
+            .map(|r| {
+                let key: Vec<i64> = cols.iter().map(|c| c[r]).collect();
+                space.encode(&key).unwrap_or(OOB_CODE)
+            })
+            .collect()
+    }
+
     #[test]
-    fn batched_encode_matches_scalar() {
+    fn batched_encode_matches_per_row_encode() {
         let space = KeySpace::new(&[(2, 4), (-1, 0)], 64).unwrap();
         let a = [2i64, 4, 3, 5, 2, 1]; // rows 3 and 5 out of range
         let b = [-1i64, 0, 0, -1, -2, 0]; // row 4 out of range
-        let (mut fast, mut slow, mut oob) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut fast, mut oob) = (Vec::new(), Vec::new());
         encode_codes(&space, &[&a, &b], a.len(), &mut fast, &mut oob);
-        encode_codes_scalar(&space, &[&a, &b], a.len(), &mut slow);
-        assert_eq!(fast, slow);
+        assert_eq!(fast, encode_per_row(&space, &[&a, &b], a.len()));
         assert_eq!(fast[3], OOB_CODE);
         assert_eq!(fast[4], OOB_CODE);
         assert_eq!(fast[5], OOB_CODE);
@@ -219,16 +136,14 @@ mod tests {
     #[test]
     fn batched_encode_empty_and_scalar_spaces() {
         let space = KeySpace::new(&[(0, 3)], 16).unwrap();
-        let (mut fast, mut slow, mut oob) = (vec![7], vec![7], vec![7]);
+        let (mut fast, mut oob) = (vec![7], vec![7]);
         encode_codes(&space, &[&[]], 0, &mut fast, &mut oob);
-        encode_codes_scalar(&space, &[&[]], 0, &mut slow);
-        assert!(fast.is_empty() && slow.is_empty(), "empty batch, stale scratch cleared");
+        assert!(fast.is_empty(), "empty batch, stale scratch cleared");
         // The empty-key (scalar) space encodes every row to code 0.
         let scalar = KeySpace::new(&[], 1).unwrap();
         encode_codes(&scalar, &[], 3, &mut fast, &mut oob);
-        encode_codes_scalar(&scalar, &[], 3, &mut slow);
         assert_eq!(fast, vec![0, 0, 0]);
-        assert_eq!(fast, slow);
+        assert_eq!(fast, encode_per_row(&scalar, &[], 3));
     }
 
     #[test]
@@ -239,10 +154,9 @@ mod tests {
         let space = KeySpace::new(&[r32, r31], u64::MAX).unwrap();
         let a = [(1i64 << 32) - 1, 0, 1 << 32, (1 << 32) - 1];
         let b = [(1i64 << 31) - 1, 0, 0, 1 << 31];
-        let (mut fast, mut slow, mut oob) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut fast, mut oob) = (Vec::new(), Vec::new());
         encode_codes(&space, &[&a, &b], a.len(), &mut fast, &mut oob);
-        encode_codes_scalar(&space, &[&a, &b], a.len(), &mut slow);
-        assert_eq!(fast, slow);
+        assert_eq!(fast, encode_per_row(&space, &[&a, &b], a.len()));
         assert_eq!(fast[0], (1u64 << 63) - 1, "top corner code");
         assert_eq!(fast[2], OOB_CODE);
         assert_eq!(fast[3], OOB_CODE);
@@ -250,40 +164,9 @@ mod tests {
         let neg = KeySpace::new(&[(i64::MIN, i64::MIN + 2)], 16).unwrap();
         let keys = [i64::MIN, i64::MIN + 2, i64::MAX, -1];
         encode_codes(&neg, &[&keys], keys.len(), &mut fast, &mut oob);
-        encode_codes_scalar(&neg, &[&keys], keys.len(), &mut slow);
-        assert_eq!(fast, slow);
+        assert_eq!(fast, encode_per_row(&neg, &[&keys], keys.len()));
         assert_eq!(fast[0], 0);
         assert_eq!(fast[2], OOB_CODE, "wrapped probe misses");
-    }
-
-    #[test]
-    fn fused_encode_scatter_matches_buffered_twin() {
-        use crate::group::GroupIndex;
-        let space = KeySpace::new(&[(2, 4), (-1, 0)], 64).unwrap();
-        let a = [2i64, 4, 3, 5, 2, 1]; // rows 3 and 5 out of range
-        let b = [-1i64, 0, 0, -1, -2, 0]; // row 4 out of range
-        let n = a.len();
-        let vals: Vec<f64> = (0..2 * n).map(|i| (i as f64) * 0.5 - 1.0).collect();
-        // Buffered twin: encode, then per-slot scatter.
-        let (mut codes, mut oob) = (Vec::new(), Vec::new());
-        encode_codes(&space, &[&a, &b], n, &mut codes, &mut oob);
-        let mut buffered = GroupIndex::dense(space.clone(), 2);
-        for s in 0..2 {
-            buffered.add_codes(&codes, s, &vals[s * n..(s + 1) * n]);
-        }
-        let mut fused = GroupIndex::dense(space.clone(), 2);
-        encode_scatter(&[&a, &b], n, &vals, &mut fused);
-        let pairs = |gi: &GroupIndex| {
-            let mut out: Vec<(Vec<i64>, Vec<f64>)> =
-                gi.pairs().into_iter().map(|(k, p)| (k, p.to_vec())).collect();
-            out.sort_by(|a, b| a.0.cmp(&b.0));
-            out
-        };
-        assert_eq!(pairs(&buffered), pairs(&fused));
-        assert_eq!(fused.len(), 3, "three in-range rows, distinct keys");
-        // Empty batch: no touch, stale state preserved.
-        encode_scatter(&[&[], &[]], 0, &[], &mut fused);
-        assert_eq!(fused.len(), 3);
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //! * [`exec`] — the shared-scan bottom-up evaluator with typed column
 //!   kernels (specialisation).
 //! * [`kernel`] — batch-at-a-time columnar kernels: mixed-radix code
-//!   batches, payload scatter/merge, factor/filter passes — each with its
-//!   scalar twin kept as the perf-regression baseline.
+//!   batches, payload scatter/merge, factor/filter passes.
 //! * [`morsel`] — morsel-driven scheduling: fixed row-range work units
 //!   pulled from a shared queue, used by the root scan and
 //!   [`ShardedEngine`] so skewed partitions no longer pin one worker.
@@ -83,7 +82,7 @@ pub use batchgen::{covariance_batch, decision_node_batch, kmeans_batch, mutual_i
 pub use classical::{eval_agg, eval_agg_batch, AggResult, ScanQuery};
 pub use dispatch::{query_stats, DispatchEngine, QueryStats};
 pub use frontdoor::{Backpressure, BreakerState, FrontDoor, FrontDoorConfig};
-pub use group::{GroupIndex, KeySpace, ScatterScratch};
+pub use group::{GroupIndex, KeySpace};
 pub use ir::{AggQuery, BatchResult};
 pub use maintain::{CustomMaint, MaintState, MaintainableEngine};
 pub use morsel::{MorselStats, DEFAULT_MORSEL_ROWS};

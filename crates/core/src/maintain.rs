@@ -23,7 +23,7 @@
 //!   off-path sibling. Nothing below the path is ever rescanned. The
 //!   maintained views are re-admitted to the [`ViewCache`] under their
 //!   post-delta content signatures, counted as
-//!   [`delta_maintained`](crate::ViewCacheStats::delta_maintained) —
+//!   [`views_maintained`](crate::ViewCacheStats::views_maintained) —
 //!   maintain-in-place instead of the cache's default
 //!   invalidate-and-rescan. Non-additive cases (an insert outside the
 //!   prepare-time dense code ranges, an emptied relation) fall back to
@@ -456,7 +456,7 @@ fn lmfao_delta(
     // Refresh the owner's relation handle: signatures must embed the
     // post-delta content id, and path rescans must see current rows.
     m.plan.rels[owner] = db.get_shared(&delta.relation)?;
-    if !cfg.delta_maintain || !delta_fits(m, owner, delta) {
+    if !delta_fits(m, owner, delta) {
         return lmfao_refresh(cfg, db, q, m);
     }
     // Delta views of the owner: the inserted rows' contributions minus
@@ -733,11 +733,7 @@ impl DispatchEngine {
     ) -> T {
         match choice {
             EngineChoice::Flat => f(&FlatEngine),
-            EngineChoice::Factorized => f(&FactorizedEngine {
-                dense_groups: self.cfg.dense_limit > 0,
-                vectorize: self.cfg.vectorize,
-                ..FactorizedEngine::new()
-            }),
+            EngineChoice::Factorized => f(&FactorizedEngine::new()),
             EngineChoice::Lmfao | EngineChoice::Auto => f(&LmfaoEngine::with_config(self.cfg)),
         }
     }
@@ -919,11 +915,12 @@ mod tests {
         }
     }
 
-    /// `delta_maintain: false` pins the recompute baseline; deltas on
-    /// relations outside the query leave the result untouched; invalid
-    /// deltas error without corrupting the state.
+    /// Deltas on relations outside the query leave the result untouched; a
+    /// degraded [`MaintState::recompute`] state recomputes per delta and
+    /// agrees with the maintained one; invalid deltas error without
+    /// corrupting the state.
     #[test]
-    fn knob_off_unrelated_and_invalid_deltas() {
+    fn unrelated_recompute_and_invalid_deltas() {
         let mut db = snowflake();
         db.add(
             "Z",
@@ -931,33 +928,31 @@ mod tests {
                 .unwrap(),
         );
         let q = query();
-        let off = LmfaoEngine::with_config(EngineConfig {
-            threads: 1,
-            delta_maintain: false,
-            ..Default::default()
-        });
-        let mut st = off.prepare(&db, &q).unwrap();
-        let before = off.eval(&mut st).unwrap();
+        let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
+        let mut st = engine.prepare(&db, &q).unwrap();
+        let before = engine.eval(&mut st).unwrap();
         // Unrelated relation: applied to the database, result unchanged.
-        let on = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
-        let got = on.apply_delta(&mut st, &Delta::insert("Z", vec![Value::Int(7)])).unwrap();
+        let got = engine.apply_delta(&mut st, &Delta::insert("Z", vec![Value::Int(7)])).unwrap();
         assert_same("unrelated", &got, &before, q.batch.len());
         assert_eq!(st.database().get("Z").unwrap().len(), 2);
-        // Recompute baseline agrees with cold runs.
+        // Maintained and recompute states both agree with a cold run.
         let d =
             Delta::insert("F", vec![Value::Int(1), Value::Int(1), Value::Int(2), Value::F64(1.0)]);
-        let got = off.apply_delta(&mut st, &d).unwrap();
+        let mut degraded = MaintState::recompute(db.clone(), q.clone());
         let mut shadow = db.clone();
         shadow.apply_delta(&d).unwrap();
         let cold = FlatEngine.run(&shadow, &q).unwrap();
-        assert_same("knob off", &got, &cold, q.batch.len());
+        let got = engine.apply_delta(&mut st, &d).unwrap();
+        assert_same("maintained", &got, &cold, q.batch.len());
+        let got = engine.apply_delta(&mut degraded, &d).unwrap();
+        assert_same("recompute", &got, &cold, q.batch.len());
         // Invalid delta: error, state still serves the last good result.
         let bad = Delta::delete(
             "F",
             vec![Value::Int(42), Value::Int(42), Value::Int(0), Value::F64(0.0)],
         );
-        assert!(on.apply_delta(&mut st, &bad).is_err());
-        assert_same("after error", &on.eval(&mut st).unwrap(), &cold, q.batch.len());
+        assert!(engine.apply_delta(&mut st, &bad).is_err());
+        assert_same("after error", &engine.eval(&mut st).unwrap(), &cold, q.batch.len());
     }
 
     /// Sharded and dispatch compositions maintain through their wrapped

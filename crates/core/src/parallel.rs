@@ -60,31 +60,11 @@ pub struct EngineConfig {
     /// relation content) is unchanged — the residual-filter reuse of
     /// iterative trainers. `0` bypasses the cache entirely.
     pub view_cache_bytes: usize,
-    /// Use the batch-at-a-time columnar kernels of [`crate::kernel`] on
-    /// the leaf scans (and, via the engines, the batched ring/trie paths);
-    /// `false` keeps every loop row-at-a-time — the scalar baseline arm of
-    /// the kernel A/B in `perf_regression`.
-    pub vectorize: bool,
     /// Rows per morsel for domain parallelism: the root scan (and
     /// [`crate::ShardedEngine`]) is cut into row ranges of roughly this
     /// many rows, pulled by workers from a shared queue. Also the batch
-    /// size of the vectorized leaf scan. See [`crate::morsel`].
+    /// size of the batched leaf scan. See [`crate::morsel`].
     pub morsel_rows: usize,
-    /// Serve `MaintainableEngine::apply_delta` by **in-place delta
-    /// propagation** along the owner→root path of the maintained view
-    /// tree (see `crate::maintain`); `false` recomputes the whole batch
-    /// from the mutated database on every delta — the correctness
-    /// baseline the property tests compare the incremental path against.
-    pub delta_maintain: bool,
-    /// Code-count threshold above which dense group scatters radix-
-    /// partition their codes into cache-sized buckets before writing
-    /// ([`crate::group::GroupIndex::add_codes_multi_partitioned`]): spaces
-    /// at or under this many codes scatter directly; larger ones bucket
-    /// by `code / scatter_partition_groups` so each pass touches one
-    /// L2-sized window of the payload matrix instead of thrashing the
-    /// whole thing. Defaults to [`default_scatter_partition_groups`]
-    /// (`FDB_SCATTER_PARTITION` env override).
-    pub scatter_partition_groups: u64,
 }
 
 impl Default for EngineConfig {
@@ -96,10 +76,7 @@ impl Default for EngineConfig {
             dense_limit: crate::group::DEFAULT_DENSE_GROUPS,
             backend: EngineChoice::Auto,
             view_cache_bytes: crate::viewcache::DEFAULT_VIEW_CACHE_BYTES,
-            vectorize: true,
             morsel_rows: crate::morsel::DEFAULT_MORSEL_ROWS,
-            delta_maintain: true,
-            scatter_partition_groups: default_scatter_partition_groups(),
         }
     }
 }
@@ -114,28 +91,6 @@ impl EngineConfig {
 /// The machine's available parallelism (1 if it cannot be determined).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
-
-/// Default radix-partition threshold for dense group scatters, in codes:
-/// one bucket of this many single-slot `f64` payloads is 256 KiB — half a
-/// typical L2 — so bucketed scatter passes stay cache-resident even with a
-/// second slot or the touch bitmap in play.
-pub const DEFAULT_SCATTER_PARTITION_GROUPS: u64 = 1 << 15;
-
-/// The scatter-partition threshold
-/// ([`EngineConfig::scatter_partition_groups`] default):
-/// `FDB_SCATTER_PARTITION` when set to a positive integer, else
-/// [`DEFAULT_SCATTER_PARTITION_GROUPS`]. Read once at first use, like the
-/// cache-stripe override.
-pub fn default_scatter_partition_groups() -> u64 {
-    static N: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("FDB_SCATTER_PARTITION")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_SCATTER_PARTITION_GROUPS)
-    })
 }
 
 /// Merges per-chunk view data additively into `a`.
@@ -227,11 +182,8 @@ pub(crate) fn compute_subtrees_parallel(
 /// into morsel-sized chunks pulled by `cfg.threads` workers from a shared
 /// queue (see [`crate::morsel`]), then combines the per-morsel view
 /// partials with a pairwise tree merge ([`crate::morsel::tree_merge`]) on
-/// the same workers — the serial coordinator fold was the scaling ceiling
-/// once the scans themselves parallelized. The merge tree depends only on
-/// the morsel order (never the thread schedule), so the summation stays
-/// deterministic; `vectorize = false` keeps the serial left-fold as the
-/// row-wise twin for the merge-association A/B.
+/// the same workers. The merge tree depends only on the morsel order
+/// (never the thread schedule), so the summation stays deterministic.
 pub(crate) fn compute_root_chunked(
     plan: &Plan,
     data: &[Option<Arc<Vec<ViewData>>>],
@@ -246,31 +198,35 @@ pub(crate) fn compute_root_chunked(
             Ok(compute_node(plan, plan.root, data, cfg, morsels[i].clone()))
         })?;
     let partials: Vec<Vec<ViewData>> = partials.into_iter().collect::<Result<_, DataError>>()?;
-    if cfg.vectorize {
-        let acc = crate::morsel::tree_merge(partials, cfg.threads, |a, b| {
-            merge_view_data(a, b);
-            Ok(())
-        })?;
-        return Ok(acc.expect("at least one morsel"));
-    }
-    let mut it = partials.into_iter();
-    let mut acc = it.next().expect("at least one morsel");
-    for p in it {
-        merge_view_data(&mut acc, p);
-    }
-    Ok(acc)
+    let acc = crate::morsel::tree_merge(partials, cfg.threads, |a, b| {
+        merge_view_data(a, b);
+        Ok(())
+    })?;
+    Ok(acc.expect("at least one morsel"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Destructures exhaustively (no `..`): a new `EngineConfig` field is
+    /// a compile error here, so adding one has to be justified.
     #[test]
     fn default_config_enables_everything() {
-        let cfg = EngineConfig::default();
-        assert!(cfg.specialize && cfg.share);
-        assert!(cfg.threads >= 1);
-        assert!(cfg.dense_limit > 0);
+        let EngineConfig {
+            specialize,
+            share,
+            threads,
+            dense_limit,
+            backend,
+            view_cache_bytes,
+            morsel_rows,
+        } = EngineConfig::default();
+        assert!(specialize && share);
+        assert!(threads >= 1);
+        assert!(dense_limit > 0);
+        assert_eq!(backend, EngineChoice::Auto);
+        assert!(view_cache_bytes > 0 && morsel_rows > 0);
         assert_eq!(EngineConfig::sequential().threads, 1);
     }
 

@@ -10,7 +10,7 @@
 //! shared scan in [`crate::exec`].
 
 use crate::batch::{Aggregate, FilterOp, Fn1};
-use crate::group::{GroupIndex, KeySpace, DENSE_KEY_LIMIT};
+use crate::group::{GroupIndex, KeySpace, DENSE_GROUP_BYTES, DENSE_KEY_LIMIT};
 use fdb_data::{DataError, Database, Relation};
 use fdb_factorized::hypergraph::Hypergraph;
 use std::collections::{HashMap, HashSet};
@@ -606,16 +606,14 @@ impl Plan {
     ///   columns (bounded by [`DENSE_KEY_LIMIT`]): probes from the parent
     ///   relation that fall outside simply miss, exactly like a hash miss.
     /// * A view's **group space** comes from the min/max of each group
-    ///   attribute's owning column (bounded by `dense_limit`): every group
-    ///   value ever written originates from that column, so dense inserts
-    ///   cannot fall out of range.
+    ///   attribute's owning column (bounded by `dense_limit` codes and
+    ///   [`DENSE_GROUP_BYTES`] of payload): every group value ever written
+    ///   originates from that column, so dense inserts cannot fall out of
+    ///   range.
     ///
-    /// `dense_limit == 0` disables both dense paths (the hash baseline of
-    /// the perf-regression harness).
+    /// `dense_limit == 0` disables both dense paths (the Figure 6 hash
+    /// baseline).
     pub(crate) fn finalize(&mut self, dense_limit: u64) {
-        // Dense accumulators track touched codes as u32; clamp the public
-        // u64 knob so an enormous limit cannot alias group keys.
-        let dense_limit = dense_limit.min(u32::MAX as u64);
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let ranges: Option<Vec<(i64, i64)>> =
                 node.key_cols.iter().map(|&c| self.rels[i].int_min_max(c)).collect();
@@ -638,10 +636,12 @@ impl Plan {
                         self.rels[n].int_min_max(c)
                     })
                     .collect();
-                view.spec.space = match (dense_limit, ranges) {
-                    (0, _) | (_, None) => None,
-                    (_, Some(r)) => KeySpace::new(&r, dense_limit),
-                };
+                // The byte bound also keeps every code inside the `u32`
+                // touch list of a dense accumulator, however large the
+                // public `u64` knob is.
+                let group_limit =
+                    dense_limit.min(DENSE_GROUP_BYTES / (8 * view.slots.len().max(1) as u64));
+                view.spec.space = ranges.and_then(|r| KeySpace::new(&r, group_limit));
             }
         }
     }
@@ -686,6 +686,46 @@ mod tests {
         let root = plan.root;
         let agg = Aggregate::sum("locn");
         assert!(plan.decompose(&agg, 0, root, true).is_err());
+    }
+
+    /// `dense_limit: u64::MAX` must not let a sparse group column size a
+    /// dense accumulator: two values `2^27` apart with 64 slots would be a
+    /// 64 GiB payload matrix — an abort, not an `Err`.
+    #[test]
+    fn dense_group_space_is_bounded_in_bytes() {
+        use fdb_data::{AttrType, Schema, Value};
+        let mut db = Database::new();
+        let rows = [(0i64, 1.0), (1 << 27, 2.0), (0, 4.0)];
+        db.add(
+            "F",
+            Relation::from_rows(
+                Schema::of(&[("g", AttrType::Int), ("x", AttrType::Double)]),
+                rows.iter().map(|&(g, x)| vec![Value::Int(g), Value::F64(x)]),
+            )
+            .unwrap(),
+        );
+        let mut batch = crate::batch::AggBatch::new();
+        for k in 0..64 {
+            batch.push(Aggregate::sum("x").by(&["g"]).filtered("x", FilterOp::Ge(k as f64 / 16.0)));
+        }
+        let mut plan = Plan::build(&db, &["F"]).unwrap();
+        let root = plan.root;
+        for (i, agg) in batch.aggs.iter().enumerate() {
+            plan.decompose(agg, i, root, true).unwrap();
+        }
+        plan.finalize(u64::MAX);
+        let view = &plan.nodes[root].views[0];
+        assert_eq!(view.slots.len(), 64);
+        assert_eq!(view.spec.space, None, "2^27 codes x 64 slots exceeds the byte bound");
+        let run = |dense_limit: u64| {
+            let cfg = crate::EngineConfig { dense_limit, threads: 1, ..Default::default() };
+            crate::exec::run_batch(&db, &["F"], &batch, &cfg).unwrap()
+        };
+        let (unbounded, default) = (run(u64::MAX), run(crate::group::DEFAULT_DENSE_GROUPS));
+        for i in 0..batch.len() {
+            assert_eq!(unbounded.grouped(i), default.grouped(i), "agg {i}");
+        }
+        assert_eq!(default.grouped(0)[&[0i64][..]], 5.0);
     }
 
     #[test]

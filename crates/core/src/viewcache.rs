@@ -40,7 +40,7 @@
 //! # Striping
 //!
 //! Like [`fdb_data::SortCache`], the table is split into
-//! [`fdb_data::sortcache::stripe_count`] shards, each behind its own
+//! [`fdb_data::sortcache::DEFAULT_STRIPES`] shards, each behind its own
 //! `Mutex`: entries are striped by signature hash, per-relation
 //! attributions by `data_id` hash, so concurrent sessions hitting warm
 //! views of different subtrees never serialize on one global lock. All
@@ -76,7 +76,7 @@ pub struct ViewCacheStats {
     /// relation mutated, but instead of the entry aging out (invalidate
     /// and rescan), the maintenance path updated the ring-additive
     /// payloads and re-admitted the views under the fresh content id.
-    pub delta_maintained: u64,
+    pub views_maintained: u64,
     /// Entries dropped to respect a byte budget.
     pub evictions: u64,
     /// Entries dropped by [`ViewCache::invalidate_id`] — views computed
@@ -127,7 +127,7 @@ pub struct ViewCache {
     misses: AtomicU64,
     views_reused: AtomicU64,
     views_rescanned: AtomicU64,
-    delta_maintained: AtomicU64,
+    views_maintained: AtomicU64,
     evictions: AtomicU64,
     invalidated: AtomicU64,
     contended: AtomicU64,
@@ -146,11 +146,11 @@ impl ViewCache {
     /// ([`crate::EngineConfig::view_cache_bytes`]), so one global cache
     /// serves engines with different budgets.
     pub fn new() -> Self {
-        Self::with_stripes(fdb_data::sortcache::stripe_count())
+        Self::with_stripes(fdb_data::sortcache::DEFAULT_STRIPES)
     }
 
-    /// An empty cache with an explicit stripe count (tests; the global
-    /// cache uses the `FDB_CACHE_STRIPES` knob).
+    /// An empty cache with an explicit stripe count (the race tests; the
+    /// global cache uses [`fdb_data::sortcache::DEFAULT_STRIPES`]).
     pub fn with_stripes(nstripes: usize) -> Self {
         Self {
             stripes: (0..nstripes.max(1)).map(|_| Mutex::new(Stripe::default())).collect(),
@@ -160,7 +160,7 @@ impl ViewCache {
             misses: AtomicU64::new(0),
             views_reused: AtomicU64::new(0),
             views_rescanned: AtomicU64::new(0),
-            delta_maintained: AtomicU64::new(0),
+            views_maintained: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
             contended: AtomicU64::new(0),
@@ -243,7 +243,7 @@ impl ViewCache {
     }
 
     /// Admits views that were kept current by **in-place delta
-    /// maintenance** rather than a scan: counted as `delta_maintained`
+    /// maintenance** rather than a scan: counted as `views_maintained`
     /// (and as reuse in the per-relation attribution — the relation was
     /// *not* rescanned), then retained under the same budget discipline
     /// as [`ViewCache::insert`]. The key carries the relation's
@@ -256,7 +256,7 @@ impl ViewCache {
         views: Arc<Vec<ViewData>>,
         byte_budget: usize,
     ) {
-        self.delta_maintained.fetch_add(views.len() as u64, Ordering::Relaxed);
+        self.views_maintained.fetch_add(views.len() as u64, Ordering::Relaxed);
         self.bump_per_id(head_id, true, views.len() as u64);
         self.admit(key, views, byte_budget);
     }
@@ -355,7 +355,7 @@ impl ViewCache {
             misses: self.misses.load(Ordering::Relaxed),
             views_reused: self.views_reused.load(Ordering::Relaxed),
             views_rescanned: self.views_rescanned.load(Ordering::Relaxed),
-            delta_maintained: self.delta_maintained.load(Ordering::Relaxed),
+            views_maintained: self.views_maintained.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidated: self.invalidated.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),

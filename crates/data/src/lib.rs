@@ -35,7 +35,7 @@ pub use error::DataError;
 pub use fault::{FaultKind, FaultPlan};
 pub use relation::{Column, Relation, RowRef};
 pub use schema::{AttrType, Attribute, Schema};
-pub use sortcache::{stripe_count, CacheCounters, SortCache};
+pub use sortcache::{CacheCounters, SortCache};
 pub use value::Value;
 
 /// Convenience result alias used across the data layer.

@@ -19,7 +19,7 @@
 //!
 //! # Striping
 //!
-//! The table is split into [`stripe_count`] shards, each behind its own
+//! The table is split into [`DEFAULT_STRIPES`] shards, each behind its own
 //! `Mutex`, selected by hashing the source relation's `data_id`. Concurrent
 //! readers of *different* relations therefore never serialize on one global
 //! lock, while all views (and per-relation stats) of a single relation stay
@@ -42,23 +42,9 @@ pub const DEFAULT_CAPACITY: usize = 128;
 /// views can coexist, but a handful of fact-table views already rotate).
 pub const DEFAULT_BYTE_BUDGET: usize = 256 << 20;
 
-/// Default number of lock stripes for the global caches (this one and
-/// `fdb-core`'s view cache). Overridable via the `FDB_CACHE_STRIPES`
-/// environment variable, read once at first use.
+/// Number of lock stripes of the global caches (this one and `fdb-core`'s
+/// view cache).
 pub const DEFAULT_STRIPES: usize = 16;
-
-/// Number of lock stripes the global caches use: `FDB_CACHE_STRIPES` when
-/// set to a positive integer, else [`DEFAULT_STRIPES`]. Read once.
-pub fn stripe_count() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("FDB_CACHE_STRIPES")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_STRIPES)
-    })
-}
 
 type Key = (u64, Vec<usize>);
 
@@ -127,11 +113,11 @@ impl SortCache {
     /// An empty cache bounded by both an entry count and a total byte
     /// budget (approximate, via [`Relation::byte_size`]).
     pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> Self {
-        Self::with_stripes(capacity, byte_budget, stripe_count())
+        Self::with_stripes(capacity, byte_budget, DEFAULT_STRIPES)
     }
 
-    /// An empty cache with an explicit stripe count (tests; the global
-    /// cache uses the `FDB_CACHE_STRIPES` knob).
+    /// An empty cache with an explicit stripe count (the race tests; the
+    /// global cache uses [`DEFAULT_STRIPES`]).
     pub fn with_stripes(capacity: usize, byte_budget: usize, nstripes: usize) -> Self {
         Self {
             stripes: (0..nstripes.max(1)).map(|_| Mutex::new(Stripe::default())).collect(),

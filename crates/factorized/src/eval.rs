@@ -40,10 +40,6 @@ pub struct EvalSpec {
     deepest_at: Vec<Vec<usize>>,
     /// Relations with no key variables at all (pure cross product).
     free_rels: Vec<usize>,
-    /// Use the batched 1-/2-way intersection collectors of [`crate::trie`]
-    /// where a node's arity allows; `false` pins the generic callback
-    /// leapfrog — the scalar baseline arm of the kernel A/B.
-    vectorize: bool,
 }
 
 /// Reusable per-variable-order-node buffers of the leapfrog recursion: the
@@ -66,16 +62,16 @@ impl EvalSpec {
     /// variables are the attributes shared by ≥ 2 relations plus `extra`
     /// (group-by attributes). Fails if the key-graph is cyclic.
     pub fn new(db: &Database, relations: &[&str], extra: &[&str]) -> Result<Self, DataError> {
-        Self::new_with_cache(db, relations, extra, Some(SortCache::global()))
+        Self::new_with_cache(db, relations, extra, SortCache::global())
     }
 
-    /// [`EvalSpec::new`] with an explicit sort-cache choice: `None` always
-    /// re-sorts (the perf-regression baseline).
+    /// [`EvalSpec::new`] serving sorted views from `cache` instead of the
+    /// global one (tests that need private cache accounting).
     pub fn new_with_cache(
         db: &Database,
         relations: &[&str],
         extra: &[&str],
-        cache: Option<&SortCache>,
+        cache: &SortCache,
     ) -> Result<Self, DataError> {
         let hg = Hypergraph::join_keys_plus(db, relations, extra)?;
         let jt = hg.join_tree().ok_or_else(|| {
@@ -94,16 +90,16 @@ impl EvalSpec {
         hg: Hypergraph,
         vo: VarOrder,
     ) -> Result<Self, DataError> {
-        Self::with_order_cached(db, relations, hg, vo, Some(SortCache::global()))
+        Self::with_order_cached(db, relations, hg, vo, SortCache::global())
     }
 
-    /// [`EvalSpec::with_order`] with an explicit sort-cache choice.
+    /// [`EvalSpec::with_order`] serving sorted views from `cache`.
     pub fn with_order_cached(
         db: &Database,
         relations: &[&str],
         hg: Hypergraph,
         vo: VarOrder,
-        cache: Option<&SortCache>,
+        cache: &SortCache,
     ) -> Result<Self, DataError> {
         let nn = vo.nodes().len();
         let mut rels = Vec::with_capacity(relations.len());
@@ -128,10 +124,7 @@ impl EvalSpec {
             for &c in &cols {
                 rel.try_int_col(c)?;
             }
-            let sorted = match cache {
-                Some(c) => c.sorted_by(rel, &cols),
-                None => Arc::new(rel.sorted_by(&cols)),
-            };
+            let sorted = cache.sorted_by(rel, &cols);
             if path.is_empty() {
                 free_rels.push(ri);
             } else {
@@ -145,14 +138,7 @@ impl EvalSpec {
             rels.push(sorted);
             key_cols.push(cols);
         }
-        Ok(Self { hg, vo, rels, key_cols, parts_at, deepest_at, free_rels, vectorize: true })
-    }
-
-    /// Toggles the batched intersection collectors (on by default); see
-    /// the `vectorize` field. The factorized engine's baseline-hash
-    /// configuration switches this off.
-    pub fn set_vectorize(&mut self, on: bool) {
-        self.vectorize = on;
+        Ok(Self { hg, vo, rels, key_cols, parts_at, deepest_at, free_rels })
     }
 
     /// Per VO node, the key column slices of its participating relations —
@@ -187,25 +173,17 @@ impl EvalSpec {
         let NodeScratch { vals, runs, cur, .. } = s;
         // The 1- and 2-relation shapes dominate snowflake joins; their
         // batched collectors fill the buffers directly, skipping the
-        // generic leapfrog's callback dispatch and cursor rotation.
-        if self.vectorize {
-            match cols_at[node].as_slice() {
-                [col] => {
-                    crate::trie::collect_runs(col, cur[0].clone(), vals, runs);
-                    return;
-                }
-                [a, b] => {
-                    crate::trie::collect_pair(a, cur[0].clone(), b, cur[1].clone(), vals, runs);
-                    return;
-                }
-                _ => {}
-            }
+        // generic leapfrog's callback dispatch and cursor rotation; ≥3-way
+        // intersections take the generic leapfrog.
+        match cols_at[node].as_slice() {
+            [col] => crate::trie::collect_runs(col, cur[0].clone(), vals, runs),
+            [a, b] => crate::trie::collect_pair(a, cur[0].clone(), b, cur[1].clone(), vals, runs),
+            cols => leapfrog_intersect(cols, cur, |v, rs| {
+                vals.push(v);
+                runs.extend_from_slice(rs);
+                true
+            }),
         }
-        leapfrog_intersect(&cols_at[node], cur, |v, rs| {
-            vals.push(v);
-            runs.extend_from_slice(rs);
-            true
-        });
     }
 
     /// The key hypergraph.

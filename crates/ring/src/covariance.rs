@@ -133,27 +133,6 @@ impl CovRing {
             }
         }
     }
-
-    /// The pre-kernel row-at-a-time product: per-entry triangular indexing
-    /// with `k` threading through three arrays. Kept verbatim as the
-    /// scalar baseline the vectorized [`Semiring::mul`] is A/B'd against
-    /// in `perf_regression`.
-    pub fn mul_baseline(&self, a: &CovTriple, b: &CovTriple) -> CovTriple {
-        let n = self.n;
-        let mut s = vec![0.0; n];
-        for i in 0..n {
-            s[i] = b.c * a.s[i] + a.c * b.s[i];
-        }
-        let mut q = vec![0.0; self.tri_len()];
-        let mut k = 0;
-        for i in 0..n {
-            for j in 0..=i {
-                q[k] = b.c * a.q[k] + a.c * b.q[k] + a.s[i] * b.s[j] + b.s[i] * a.s[j];
-                k += 1;
-            }
-        }
-        CovTriple { c: a.c * b.c, s: s.into(), q: q.into() }
-    }
 }
 
 impl Semiring for CovRing {
@@ -187,8 +166,7 @@ impl Semiring for CovRing {
         // Row-sliced form of the paper's product: per triangle row `i`,
         // the inner `j` pass runs over three contiguous `i+1`-length
         // slices with the row-invariant scalars hoisted — a fused
-        // multiply-add shape the autovectorizer handles, unlike the
-        // k-threaded scalar loop kept as [`CovRing::mul_baseline`].
+        // multiply-add shape the autovectorizer handles.
         let n = self.n;
         let mut s = vec![0.0; n];
         for i in 0..n {
@@ -313,17 +291,30 @@ mod tests {
             prop_assert!(ring.is_zero(&ring.add(&a, &ring.neg(&a))));
         }
 
-        /// The row-sliced product is the same arithmetic as the k-threaded
-        /// baseline, term for term — exact equality, not just tolerance.
+        /// The row-sliced product against the textbook formula (§5.2)
+        /// `(c_a·c_b, c_b·s_a + c_a·s_b, c_b·Q_a + c_a·Q_b + s_a·s_bᵀ +
+        /// s_b·s_aᵀ)`, entry by entry — exact equality, not tolerance.
         #[test]
-        fn vectorized_mul_matches_baseline(
+        fn mul_matches_textbook_formula(
             av in proptest::collection::vec(-9i32..9, 4),
             bv in proptest::collection::vec(-9i32..9, 4),
+            cv in proptest::collection::vec(-9i32..9, 4),
         ) {
             let ring = CovRing::new(4);
-            let a = ring.lift(&av.iter().map(|&x| x as f64).collect::<Vec<_>>());
-            let b = ring.lift(&bv.iter().map(|&x| x as f64).collect::<Vec<_>>());
-            prop_assert!(approx(&ring.mul(&a, &b), &ring.mul_baseline(&a, &b), 0.0));
+            let lift = |v: &[i32]| ring.lift(&v.iter().map(|&x| x as f64).collect::<Vec<_>>());
+            // Sums of lifts, so counts and moments are not just rank one.
+            let a = ring.add(&lift(&av), &lift(&cv));
+            let b = lift(&bv);
+            let got = ring.mul(&a, &b);
+            prop_assert_eq!(got.c, a.c * b.c);
+            for i in 0..4 {
+                prop_assert_eq!(got.s[i], b.c * a.s[i] + a.c * b.s[i]);
+                for j in 0..=i {
+                    let want = b.c * a.q_at(i, j) + a.c * b.q_at(i, j)
+                        + a.s[i] * b.s[j] + b.s[i] * a.s[j];
+                    prop_assert_eq!(got.q_at(i, j), want, "q[{}][{}]", i, j);
+                }
+            }
         }
 
         /// Fused accumulate ≡ materialize-then-add, on random sparse rows

@@ -204,9 +204,8 @@ impl<R: Semiring> Semiring for DenseKeyedRing<R> {
         DenseGrouped { entries: out }
     }
 
-    /// In-place batched merge — the optimized twin of [`Semiring::add`]'s
-    /// allocating linear merge, which remains the baseline arm of the
-    /// kernel A/B (fold with `add`). Two fast paths matter in the evaluator:
+    /// In-place batched merge, without [`Semiring::add`]'s allocating
+    /// linear merge. Two fast paths matter in the evaluator:
     /// an empty side is free, and key-disjoint *appends* (the common case
     /// when leapfrog emits group codes in ascending order) extend the
     /// entry vector instead of re-merging it, turning the repeated

@@ -88,41 +88,6 @@ pub fn sum<S: Semiring>(ring: &S, items: impl IntoIterator<Item = S::Elem>) -> S
     acc
 }
 
-/// Sums elements by balanced pairwise (tree) merging instead of a serial
-/// left fold.
-///
-/// For scalar rings this is just `+` in a different association. For
-/// sorted-list elements like [`DenseGrouped`], where `add` is a linear
-/// merge, the association is the whole point: a serial fold over `k`
-/// interleaved-key parts re-walks the growing accumulator every step —
-/// `O(total·k)` — while the tree touches each entry once per round,
-/// `O(total·log k)`. This is the merge shape the parallel engines use for
-/// shard and morsel partials; here it is the sequential kernel those
-/// paths (and the `parallel-merge` microbench arm) share.
-///
-/// Commutativity and associativity of `+` make the result semantically
-/// equal to [`sum`]; for non-associative payload floats the rounding may
-/// differ, which is why callers that promise bit-stable output pin one
-/// association and keep it.
-pub fn tree_sum<S: Semiring>(ring: &S, items: impl IntoIterator<Item = S::Elem>) -> S::Elem {
-    let mut parts: Vec<S::Elem> = items.into_iter().collect();
-    while parts.len() > 1 {
-        // Pair (0,1), (2,3), ... each round; an odd tail rides along
-        // unmerged, exactly like the engine-side tree merge.
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.drain(..);
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                ring.add_assign(&mut a, &b);
-            }
-            next.push(a);
-        }
-        drop(it);
-        parts = next;
-    }
-    parts.pop().unwrap_or_else(|| ring.zero())
-}
-
 /// Multiplies an iterator of elements in the given (semi)ring.
 pub fn prod<S: Semiring>(ring: &S, items: impl IntoIterator<Item = S::Elem>) -> S::Elem {
     let mut acc = ring.one();
@@ -143,34 +108,5 @@ mod tests {
         assert_eq!(prod(&r, [2, 3, 4]), 24);
         assert_eq!(sum(&r, std::iter::empty()), 0);
         assert_eq!(prod(&r, std::iter::empty()), 1);
-    }
-
-    #[test]
-    fn tree_sum_matches_serial_fold() {
-        let r = I64Ring;
-        for k in [0usize, 1, 2, 3, 5, 8, 17] {
-            let items: Vec<i64> = (0..k as i64).map(|i| i * 3 - 4).collect();
-            assert_eq!(tree_sum(&r, items.clone()), sum(&r, items), "k = {k}");
-        }
-        // Interleaved keys in the dense keyed ring: the tree association
-        // must produce the same sorted entry list as the serial fold.
-        let dr = DenseKeyedRing::new(I64Ring, &[(0, 63)]).unwrap();
-        let parts: Vec<DenseGrouped<I64Ring>> = (0..8)
-            .map(|p| {
-                let mut e = dr.zero();
-                for v in 0..8 {
-                    dr.add_assign(&mut e, &dr.tag(0, v * 8 + p, p + v + 1));
-                }
-                e
-            })
-            .collect();
-        let tree = tree_sum(&dr, parts.clone());
-        let serial = sum(&dr, parts);
-        assert_eq!(tree.len(), 64);
-        let (t, s): (Vec<_>, Vec<_>) = (
-            tree.iter().map(|(m, c, v)| (m, c, *v)).collect(),
-            serial.iter().map(|(m, c, v)| (m, c, *v)).collect(),
-        );
-        assert_eq!(t, s);
     }
 }

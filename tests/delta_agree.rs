@@ -7,7 +7,7 @@
 //!
 //! The acceptance-shaped test at the bottom pins the incremental path
 //! itself: a single-row fact insert after `prepare` is served by delta
-//! propagation — the view cache's `delta_maintained` counter moves and
+//! propagation — the view cache's `views_maintained` counter moves and
 //! no view below (or beside) the owner→root path is rescanned.
 
 use fdb::data::{AttrType, Database, Delta, Relation, Schema, Value};
@@ -30,10 +30,6 @@ fn panel() -> Vec<(String, Box<dyn MaintainableEngine>)> {
         (
             "lmfao-hash".into(),
             Box::new(LmfaoEngine::with_config(EngineConfig { dense_limit: 0, ..seq })),
-        ),
-        (
-            "lmfao-recompute".into(),
-            Box::new(LmfaoEngine::with_config(EngineConfig { delta_maintain: false, ..seq })),
         ),
         ("dispatch".into(), Box::new(DispatchEngine::new())),
         (
@@ -255,7 +251,7 @@ proptest! {
 
 /// The acceptance criterion: on the retailer schema, a single-row fact
 /// insert after `prepare` is served by delta propagation — the view
-/// cache's `delta_maintained` counter moves, and zero full-view rescans
+/// cache's `views_maintained` counter moves, and zero full-view rescans
 /// happen below (or beside) the owner→root path. The owner *is* the
 /// root here, so nothing at all may rescan.
 #[test]
@@ -277,11 +273,11 @@ fn retailer_fact_insert_is_served_by_delta_propagation() {
     let ids: Vec<u64> = rels.iter().map(|r| ds.db.get(r).unwrap().data_id()).collect();
     let rescans = |ids: &[u64]| -> u64 { ids.iter().map(|&i| cache.stats_for_id(i).1).sum() };
     let before_rescans = rescans(&ids);
-    let before_maintained = cache.stats().delta_maintained;
+    let before_maintained = cache.stats().views_maintained;
     let delta = Delta::insert("Inventory", ds.db.get("Inventory").unwrap().row_vec(0));
     let got = engine.apply_delta(&mut st, &delta).unwrap();
     assert!(
-        cache.stats().delta_maintained > before_maintained,
+        cache.stats().views_maintained > before_maintained,
         "the fact insert must be folded into maintained views"
     );
     assert_eq!(rescans(&ids), before_rescans, "zero full-view rescans below the owner→root path");

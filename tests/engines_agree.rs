@@ -27,7 +27,6 @@ fn assert_engines_agree(db: &Database, q: &AggQuery) -> BatchResult {
     let engines: Vec<Box<dyn Engine>> = vec![
         Box::new(FlatEngine),
         Box::new(FactorizedEngine::new()),
-        Box::new(FactorizedEngine::baseline_hash()),
         Box::new(LmfaoEngine::new()),
         Box::new(LmfaoEngine::with_config(EngineConfig::sequential())),
         Box::new(LmfaoEngine::with_config(EngineConfig {
@@ -138,6 +137,45 @@ fn snowflake(rows: &[(i64, i64, i8)], d1: &[(i64, i8)], d2: &[(i64, i8)]) -> Dat
     db
 }
 
+/// The input-selected fallbacks, driven by data instead of a knob: group
+/// columns spanning `±2^62` overflow `DenseKeyedRing::new` (factorized
+/// takes the hash `KeyedRing`) and exceed every dense group limit (flat and
+/// LMFAO take the hash `GroupIndex`). All engines must still reproduce the
+/// oracle.
+#[test]
+fn huge_group_domains_take_the_hash_fallbacks_and_agree() {
+    const BIG: i64 = 1 << 62;
+    let mut db = Database::new();
+    let mut f = Relation::new(Schema::of(&[
+        ("a", AttrType::Int),
+        ("g", AttrType::Int),
+        ("x", AttrType::Double),
+    ]));
+    for (a, g, x) in [(0, -BIG, 1.0), (0, BIG, 2.0), (1, BIG, 4.0), (1, -BIG, 8.0), (2, BIG, 16.0)]
+    {
+        f.push_row(&[Value::Int(a), Value::Int(g), Value::F64(x)]).unwrap();
+    }
+    let mut d = Relation::new(Schema::of(&[
+        ("a", AttrType::Int),
+        ("h", AttrType::Int),
+        ("u", AttrType::Double),
+    ]));
+    for (a, h, u) in [(0, BIG, 0.5), (1, -BIG, 0.25), (1, BIG, 2.0), (3, BIG, 9.0)] {
+        d.push_row(&[Value::Int(a), Value::Int(h), Value::F64(u)]).unwrap();
+    }
+    db.add("F", f);
+    db.add("D", d);
+    let mut batch = AggBatch::new();
+    batch.push(Aggregate::count().by(&["g", "h"]));
+    batch.push(Aggregate::sum_prod("x", "u").by(&["g", "h"]));
+    batch.push(Aggregate::sum("x").by(&["h"]).filtered("u", FilterOp::Ge(0.5)));
+    let q = AggQuery::new(&["F", "D"], batch);
+    let res = assert_engines_agree(&db, &q);
+    assert_results_match(&common::oracle(&db, &q), &res, "oracle", q.batch.len());
+    let key: Box<[i64]> = vec![BIG, -BIG].into();
+    assert_eq!(res.grouped(0)[&key], 1.0, "F(1, BIG) joins D(1, -BIG) once");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -201,15 +239,12 @@ fn factorized_agrees_with_cache_warm_and_cold() {
         covariance_batch(&["prize", "maxtemp", "inventoryunits"], &["rain", "category"]),
     );
     // Cold (global cache, fresh relation identities) vs warm (second run)
-    // vs fully uncached: identical results.
+    // vs the cache-free oracle: identical results.
     let engine = FactorizedEngine::new();
     let cold = engine.run(&ds.db, &q).unwrap();
     let warm = engine.run(&ds.db, &q).unwrap();
     assert_results_match(&cold, &warm, "warm-vs-cold", q.batch.len());
-    let uncached = FactorizedEngine { use_sort_cache: false, ..FactorizedEngine::new() }
-        .run(&ds.db, &q)
-        .unwrap();
-    assert_results_match(&cold, &uncached, "uncached", q.batch.len());
+    assert_results_match(&common::oracle(&ds.db, &q), &cold, "oracle", q.batch.len());
 
     // Sort accounting against a *private* cache: the global one is churned
     // by concurrently-running tests in this binary (FIFO eviction would
@@ -218,11 +253,11 @@ fn factorized_agrees_with_cache_warm_and_cold() {
     let sorts = || -> u64 { rels.iter().map(|r| cache.stats_for(ds.db.get(r).unwrap()).1).sum() };
     let grefs = ["category", "rain"];
     let cold_spec =
-        fdb::factorized::EvalSpec::new_with_cache(&ds.db, &rels, &grefs, Some(&cache)).unwrap();
+        fdb::factorized::EvalSpec::new_with_cache(&ds.db, &rels, &grefs, &cache).unwrap();
     let after_cold = sorts();
     assert!(after_cold > 0, "cold preparation sorts the relations");
     let warm_spec =
-        fdb::factorized::EvalSpec::new_with_cache(&ds.db, &rels, &grefs, Some(&cache)).unwrap();
+        fdb::factorized::EvalSpec::new_with_cache(&ds.db, &rels, &grefs, &cache).unwrap();
     assert_eq!(sorts(), after_cold, "warm preparation re-sorts nothing");
     assert_eq!(cold_spec.count(), warm_spec.count(), "same join either way");
 }

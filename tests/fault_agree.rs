@@ -94,12 +94,21 @@ fn assert_epoch(tag: &str, db: &Database, want: &[(String, Relation, u64)]) {
     }
 }
 
+/// Serializes every test that installs a process-global fault plan — and
+/// every test whose engine calls cross fault sites, which would otherwise
+/// consume (and fail on) occurrences a concurrent chaos test scheduled.
+fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 // ---------------------------------------------------------------------------
 // Delta edge cases (feature-independent)
 // ---------------------------------------------------------------------------
 
 #[test]
 fn empty_delta_batches_are_clean_no_ops() {
+    let _guard = fault_lock();
     let db = snowflake(6);
     let q = query();
     let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
@@ -113,6 +122,7 @@ fn empty_delta_batches_are_clean_no_ops() {
 
 #[test]
 fn insert_and_delete_of_the_same_row_cancel_within_a_batch() {
+    let _guard = fault_lock();
     let db = snowflake(6);
     let q = query();
     let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
@@ -140,6 +150,7 @@ fn insert_and_delete_of_the_same_row_cancel_within_a_batch() {
 
 #[test]
 fn mid_batch_schema_mismatches_roll_back_completely() {
+    let _guard = fault_lock();
     let db = snowflake(6);
     let q = query();
     let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
@@ -199,6 +210,7 @@ impl MaintainableEngine for PanickyEngine {}
 
 #[test]
 fn worker_panics_surface_as_structured_errors_not_aborts() {
+    let _guard = fault_lock();
     let db = snowflake(8);
     let q = query();
     // Sharded execution: the panic fires inside a stealing worker (and
@@ -231,14 +243,6 @@ fn worker_panics_surface_as_structured_errors_not_aborts() {
 mod chaos {
     use super::*;
     use fdb::data::fault::{self, FaultPlan};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// Serializes every test that installs a process-global fault plan.
-    fn fault_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// splitmix64 — the same tiny deterministic generator the fault plans
     /// use, re-derived here so delta streams reproduce from the seed.
     struct Rng(u64);

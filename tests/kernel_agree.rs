@@ -1,12 +1,12 @@
-//! Vectorized kernels agree with their scalar twins.
+//! The batched kernels agree with the oracle.
 //!
 //! The batched columnar paths (`fdb_core::kernel`, the batched leaf scan,
-//! the trie pair collectors) must be drop-in equivalent to the row-at-a-time
-//! loops they replace: same represented key sets, same values up to float
-//! summation order. These tests pin that equivalence on random inputs,
-//! including the awkward shapes — empty batches, single-row morsels, the
-//! dense→hash fallback boundary at `dense_limit`, and mixed-radix codes
-//! near `u64` overflow.
+//! the trie pair collectors) must compute what `fdb_core::classical`
+//! computes over the materialized join: same represented key sets, same
+//! values up to float summation order. These tests pin that on random
+//! inputs, including the awkward shapes — empty batches, single-row
+//! morsels, the dense→hash fallback boundary at `dense_limit`, and
+//! mixed-radix codes near `u64` overflow.
 
 use fdb::lmfao::{covariance_batch, kernel, KeySpace};
 use fdb::prelude::*;
@@ -54,35 +54,54 @@ fn cov_query() -> AggQuery {
     AggQuery::new(&["F", "D1", "D2"], batch)
 }
 
+/// Every engine on `q` against the oracle: LMFAO's batched leaf scan and
+/// its generic per-tuple loop (`specialize: false`, the Figure 6 stage),
+/// the factorized engine's batched intersection collectors, and flat's
+/// batched dense accumulation. Returns the oracle's result.
+fn assert_engines_match_oracle(db: &Database, q: &AggQuery) -> BatchResult {
+    let base = common::oracle(db, q);
+    let batched = EngineConfig { threads: 1, view_cache_bytes: 0, ..Default::default() };
+    let generic = EngineConfig { specialize: false, ..batched };
+    let panel: [(&str, Box<dyn Engine>); 4] = [
+        ("lmfao batched", Box::new(LmfaoEngine::with_config(batched))),
+        ("lmfao generic", Box::new(LmfaoEngine::with_config(generic))),
+        ("factorized", Box::new(FactorizedEngine::new())),
+        ("flat batched", Box::new(FlatEngine)),
+    ];
+    for (tag, engine) in &panel {
+        common::assert_results_match(&base, &engine.run(db, q).unwrap(), tag, q.batch.len(), 1e-9);
+    }
+    base
+}
+
+fn encode_batched(space: &KeySpace, cols: &[&[i64]], rows: usize) -> Vec<u64> {
+    let (mut out, mut oob) = (Vec::new(), Vec::new());
+    kernel::encode_codes(space, cols, rows, &mut out, &mut oob);
+    out
+}
+
+/// The per-row reference: `KeySpace::encode` on each row's key.
+fn encode_per_row(space: &KeySpace, cols: &[&[i64]], rows: usize) -> Vec<u64> {
+    (0..rows)
+        .map(|r| {
+            let key: Vec<i64> = cols.iter().map(|c| c[r]).collect();
+            space.encode(&key).unwrap_or(kernel::OOB_CODE)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// LMFAO with the batched leaf scan ≡ the row-wise path, and the
-    /// factorized engine with the batched intersection collectors ≡ the
-    /// generic leapfrog — on random snowflakes including empty facts.
+    /// The batched engines reproduce the classical row-at-a-time oracle on
+    /// random snowflakes, including empty facts.
     #[test]
     fn vectorized_engines_agree_with_rowwise(
         rows in proptest::collection::vec((0i64..4, 0i64..4, -5i8..5), 0..25),
         d1 in proptest::collection::vec((0i64..4, -5i8..5), 0..8),
         d2 in proptest::collection::vec((0i64..4, -5i8..5), 0..8),
     ) {
-        let db = snowflake(&rows, &d1, &d2);
-        let q = cov_query();
-        let naggs = q.batch.len();
-        let vec_cfg = EngineConfig { threads: 1, view_cache_bytes: 0, ..Default::default() };
-        let row_cfg = EngineConfig { vectorize: false, ..vec_cfg };
-        let base = LmfaoEngine::with_config(row_cfg).run(&db, &q).unwrap();
-        let got = LmfaoEngine::with_config(vec_cfg).run(&db, &q).unwrap();
-        common::assert_results_match(&base, &got, "lmfao vectorized", naggs, 1e-9);
-
-        let fac_row = FactorizedEngine { vectorize: false, ..FactorizedEngine::new() };
-        let fb = fac_row.run(&db, &q).unwrap();
-        let fg = FactorizedEngine::new().run(&db, &q).unwrap();
-        common::assert_results_match(&fb, &fg, "factorized vectorized", naggs, 1e-9);
-
-        // Flat's batched dense accumulation against the row-wise engines.
-        let flat = FlatEngine.run(&db, &q).unwrap();
-        common::assert_results_match(&base, &flat, "flat batched", naggs, 1e-9);
+        assert_engines_match_oracle(&snowflake(&rows, &d1, &d2), &cov_query());
     }
 
     /// Sweeping `dense_limit` across the group key-space size (6 codes for
@@ -113,11 +132,11 @@ proptest! {
         }
     }
 
-    /// The batched mixed-radix encoder matches the per-row encoder on
-    /// random spaces and keys — in range, out of range, and near the top
-    /// of the `u64` code space.
+    /// The batched mixed-radix encoder matches per-row `KeySpace::encode`
+    /// on random spaces and keys — in range, out of range, and near the
+    /// top of the `u64` code space.
     #[test]
-    fn batched_encode_matches_scalar_on_random_spaces(
+    fn batched_encode_matches_per_row_on_random_spaces(
         spec in proptest::collection::vec((-40i64..40, 0i64..6), 1..4),
         keys in proptest::collection::vec(-50i64..50, 0..40),
         big in proptest::collection::vec(0i64..2, 1..3),
@@ -128,10 +147,7 @@ proptest! {
             let rows = keys.len() / arity.max(1);
             let cols: Vec<&[i64]> =
                 (0..arity).map(|i| &keys[i * rows..(i + 1) * rows]).collect();
-            let (mut fast, mut slow, mut oob) = (Vec::new(), Vec::new(), Vec::new());
-            kernel::encode_codes(&space, &cols, rows, &mut fast, &mut oob);
-            kernel::encode_codes_scalar(&space, &cols, rows, &mut slow);
-            prop_assert_eq!(fast, slow);
+            prop_assert_eq!(encode_batched(&space, &cols, rows), encode_per_row(&space, &cols, rows));
         }
         // Near-overflow: radices chosen so strides reach the top u64 bits.
         let wide: Vec<(i64, i64)> = big
@@ -144,10 +160,7 @@ proptest! {
                 .map(|&(lo, hi)| vec![lo, hi, lo - 1, hi + 1, 0, i64::MAX, i64::MIN])
                 .collect();
             let refs: Vec<&[i64]> = cols.iter().map(|c| c.as_slice()).collect();
-            let (mut fast, mut slow, mut oob) = (Vec::new(), Vec::new(), Vec::new());
-            kernel::encode_codes(&space, &refs, 7, &mut fast, &mut oob);
-            kernel::encode_codes_scalar(&space, &refs, 7, &mut slow);
-            prop_assert_eq!(fast, slow);
+            prop_assert_eq!(encode_batched(&space, &refs, 7), encode_per_row(&space, &refs, 7));
         }
     }
 }
@@ -176,30 +189,11 @@ fn single_row_morsels_agree_with_sequential() {
 }
 
 /// An empty fact joined through the batched paths: no groups, no panics,
-/// identical (empty) results across all engines and both vectorize arms.
+/// the oracle's (empty) result from every engine.
 #[test]
 fn empty_fact_agrees_everywhere() {
     let db = snowflake(&[], &[(0, 1), (1, -2)], &[(0, 3)]);
     let q = cov_query();
-    let base = FlatEngine.run(&db, &q).unwrap();
-    let seq = EngineConfig { threads: 1, view_cache_bytes: 0, ..Default::default() };
-    for vectorize in [true, false] {
-        let lm = LmfaoEngine::with_config(EngineConfig { vectorize, ..seq });
-        common::assert_results_match(
-            &base,
-            &lm.run(&db, &q).unwrap(),
-            "empty lmfao",
-            q.batch.len(),
-            1e-9,
-        );
-        let fac = FactorizedEngine { vectorize, ..FactorizedEngine::new() };
-        common::assert_results_match(
-            &base,
-            &fac.run(&db, &q).unwrap(),
-            "empty factorized",
-            q.batch.len(),
-            1e-9,
-        );
-    }
+    let base = assert_engines_match_oracle(&db, &q);
     assert_eq!(base.scalar(q.batch.len() - 1), 0.0, "count over empty join");
 }

@@ -31,10 +31,6 @@ fn panel() -> Vec<(String, DynEngine)> {
             "lmfao-hash".into(),
             Box::new(LmfaoEngine::with_config(EngineConfig { dense_limit: 0, ..seq })),
         ),
-        (
-            "lmfao-recompute".into(),
-            Box::new(LmfaoEngine::with_config(EngineConfig { delta_maintain: false, ..seq })),
-        ),
         ("dispatch".into(), Box::new(DispatchEngine::new())),
         (
             "sharded-lmfao".into(),

@@ -6,8 +6,12 @@ use fdb_bench::{datasets4, fig6, print_table};
 
 fn main() {
     let scale = datasets4::scale_from_args();
-    let threads: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-    println!("\nFigure 6: relative speedup of code optimisations (covariance batch), scale {scale}, {threads} threads\n");
+    let threads = datasets4::threads_from_args();
+    let cores = fdb_core::parallel::default_threads();
+    println!(
+        "\nFigure 6: relative speedup of code optimisations (covariance batch), scale {scale}, \
+         {threads} threads on {cores} available cores\n"
+    );
     let mut rows = Vec::new();
     for ds in datasets4::all(scale) {
         let row = fig6::measure(&ds, threads);

@@ -38,6 +38,15 @@ pub fn scale_from_args() -> f64 {
     std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0)
 }
 
+/// Parses the second CLI argument as a worker-thread count (default: the
+/// host's available cores, so a "parallel" row never oversubscribes).
+pub fn threads_from_args() -> usize {
+    std::env::args()
+        .nth(2)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(fdb_core::parallel::default_threads)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

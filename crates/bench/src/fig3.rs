@@ -1,6 +1,6 @@
 //! Figure 3: the end-to-end experiment.
 //!
-//! Left table — retailer dataset characteristics (cardinalities, arities,
+//! Left table — dataset characteristics (cardinalities, arities,
 //! CSV sizes, join blow-up). Right table — structure-agnostic
 //! (join → export → shuffle → one-epoch SGD) vs structure-aware
 //! (LMFAO aggregate batch → gradient descent on the covariance matrix),
@@ -40,7 +40,7 @@ pub fn dataset_table(ds: &Dataset) -> Vec<DatasetRow> {
         });
     }
     let rels: Vec<&str> = ds.relation_refs();
-    let join = natural_join_all(&ds.db, &rels).expect("retailer join is well-formed");
+    let join = natural_join_all(&ds.db, &rels).expect("dataset join is well-formed");
     rows.push(DatasetRow {
         name: "Join".to_string(),
         rows: join.len(),
@@ -79,7 +79,7 @@ pub struct EndToEnd {
     pub aware_total: f64,
 }
 
-/// Runs both pipelines on a dataset (expects the retailer feature set).
+/// Runs both pipelines on a dataset over its feature set.
 pub fn end_to_end(ds: &Dataset, threads: usize) -> EndToEnd {
     let rels: Vec<&str> = ds.relation_refs();
     let cont: Vec<&str> = ds.features.continuous.iter().map(String::as_str).collect();

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one runner per table/figure of the paper,
 //! shared between the `src/bin` table binaries and the Criterion benches.
-//! `EXPERIMENTS.md` at the workspace root records paper-vs-measured for
-//! every experiment these runners regenerate.
+//! The experiment index (DESIGN.md §7) maps each paper artifact to its
+//! runner and test-scale guard; the end-to-end benchmark is `benchmark/`.
 
 pub mod datasets4;
 pub mod fig3;
@@ -12,7 +12,6 @@ pub mod fig4_speedup;
 pub mod fig5;
 pub mod fig6;
 pub mod ineq_scaling;
-pub mod perf;
 
 use std::time::Instant;
 

@@ -134,11 +134,13 @@ pub struct ServingStats {
 /// # batch.push(Aggregate::sum("x"));
 /// # let q = AggQuery::new(&["R"], batch);
 /// let serving = ServingEngine::new(LmfaoEngine::new(), &db, &q).unwrap();
+/// let e0 = serving.epoch();
 /// std::thread::scope(|s| {
 ///     s.spawn(|| {
 ///         let (epoch, result) = serving.query().unwrap(); // reader: pins a snapshot
 ///         assert!(epoch <= serving.epoch());
-///         assert_eq!(result.scalar(0), 2.0);
+///         // before or after the writer's epoch, never in between
+///         assert_eq!(result.scalar(0), if epoch == e0 { 2.0 } else { 5.0 });
 ///     });
 ///     // writer: commits and publishes the next epoch
 ///     serving.apply_delta(&Delta::insert("R", vec![Value::Int(2), Value::F64(3.0)])).unwrap();

@@ -87,11 +87,6 @@ pub struct ViewCacheStats {
     pub entries: usize,
     /// Approximate bytes currently retained.
     pub bytes: usize,
-    /// Lock-stripe acquisitions that found the stripe already held and had
-    /// to wait — the serving-path contention signal.
-    pub contended: u64,
-    /// Number of lock stripes the cache is split across.
-    pub stripes: usize,
 }
 
 #[derive(Default)]
@@ -130,7 +125,6 @@ pub struct ViewCache {
     views_maintained: AtomicU64,
     evictions: AtomicU64,
     invalidated: AtomicU64,
-    contended: AtomicU64,
     entries: AtomicUsize,
     bytes: AtomicUsize,
 }
@@ -163,7 +157,6 @@ impl ViewCache {
             views_maintained: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
             entries: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
         }
@@ -360,8 +353,6 @@ impl ViewCache {
             invalidated: self.invalidated.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-            stripes: self.stripes.len(),
         }
     }
 
@@ -438,15 +429,7 @@ impl ViewCache {
     }
 
     fn lock(&self, si: usize) -> std::sync::MutexGuard<'_, Stripe> {
-        let m = &self.stripes[si];
-        match m.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                m.lock().unwrap_or_else(|p| p.into_inner())
-            }
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-        }
+        self.stripes[si].lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -475,7 +458,6 @@ mod tests {
         assert_eq!((s.views_reused, s.views_rescanned), (1, 1));
         assert_eq!(s.entries, 1);
         assert!(s.bytes > 0);
-        assert!(s.stripes >= 1);
         assert_eq!(c.stats_for_id(7), (1, 1));
         assert_eq!(c.stats_for_id(8), (0, 0));
     }

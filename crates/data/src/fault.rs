@@ -3,9 +3,10 @@
 //! The mutation and execution paths are sprinkled with named *fault
 //! sites* (`fault::check("delta-commit")`, …). Without the
 //! `fault-injection` cargo feature every check compiles to an inlined
-//! `Ok(())` — zero branches, zero atomics, zero cost (the
-//! `fault_overhead` row of `BENCH_engines.json` holds that claim to a
-//! measurement). With the feature on, a process-global [`FaultPlan`]
+//! `Ok(())` — zero branches, zero atomics, zero cost (the test
+//! `fault_sites_cost_under_one_percent_of_a_delta_when_compiled_out` in
+//! `tests/fault_agree.rs` holds that claim to a measurement). With the
+//! feature on, a process-global [`FaultPlan`]
 //! decides per site and per occurrence whether the site fires, either as
 //! a structured [`DataError::Injected`] or as a panic (exercising the
 //! `catch_unwind` containment of the morsel workers and the maintenance
@@ -216,7 +217,7 @@ mod active {
 
 /// True when the crate was compiled with the `fault-injection` feature —
 /// i.e. the named sites below are live rather than inlined-out no-ops.
-/// Benchmarks record this so an overhead number can be read in context.
+/// The overhead test bounds the site cost only when this is false.
 pub const fn injection_enabled() -> bool {
     cfg!(feature = "fault-injection")
 }

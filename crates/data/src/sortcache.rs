@@ -49,9 +49,9 @@ pub const DEFAULT_STRIPES: usize = 16;
 type Key = (u64, Vec<usize>);
 
 /// A monotone snapshot of a cache's global counters — the observability
-/// contract shared by this cache and `fdb-core`'s view cache, surfaced as
-/// the `caches` section of `BENCH_engines.json`. Counters survive
-/// [`SortCache::clear`] so deltas around a workload stay meaningful.
+/// contract shared by this cache and `fdb-core`'s view cache. Counters
+/// survive [`SortCache::clear`] so deltas around a workload stay
+/// meaningful.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups served from the cache.
@@ -64,11 +64,6 @@ pub struct CacheCounters {
     pub entries: usize,
     /// Approximate bytes currently retained.
     pub bytes: usize,
-    /// Lock-stripe acquisitions that found the stripe already held and had
-    /// to wait — the serving-path contention signal.
-    pub contended: u64,
-    /// Number of lock stripes the cache is split across.
-    pub stripes: usize,
 }
 
 #[derive(Default)]
@@ -97,7 +92,6 @@ pub struct SortCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    contended: AtomicU64,
     /// Current totals across all stripes.
     entries: AtomicUsize,
     bytes: AtomicUsize,
@@ -127,7 +121,6 @@ impl SortCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
             entries: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
         }
@@ -243,8 +236,6 @@ impl SortCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-            stripes: self.stripes.len(),
         }
     }
 
@@ -286,15 +277,7 @@ impl SortCache {
     }
 
     fn lock(&self, si: usize) -> std::sync::MutexGuard<'_, Stripe> {
-        let m = &self.stripes[si];
-        match m.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                m.lock().unwrap_or_else(|p| p.into_inner())
-            }
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-        }
+        self.stripes[si].lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -393,7 +376,6 @@ mod tests {
         assert_eq!((k.hits, k.misses, k.evictions), (1, 3, 1));
         assert_eq!(k.entries, 2);
         assert!(k.bytes > 0);
-        assert!(k.stripes >= 1);
         cache.clear();
         let k = cache.counters();
         assert_eq!(k.hits, 1, "history survives clear");

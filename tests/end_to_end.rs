@@ -40,7 +40,22 @@ fn fig3_harness_invariants() {
     assert_eq!(join.rows, ds.db.get("Inventory").unwrap().len());
     let widest_input = table[..table.len() - 1].iter().map(|r| r.attrs).max().unwrap();
     assert!(join.attrs > widest_input);
-    let r = fdb_bench::fig3::end_to_end(&ds, 2);
-    assert!(r.stats_bytes < r.matrix_bytes / 10);
-    assert!(r.lmfao_rmse.is_finite() && r.sgd_rmse.is_finite());
+    // Both pipelines on every dataset `fig3_endtoend` reports.
+    for ds in fdb_bench::datasets4::all(0.01) {
+        let r = fdb_bench::fig3::end_to_end(&ds, 2);
+        let name = ds.name;
+        assert!(r.lmfao_rmse.is_finite() && r.sgd_rmse.is_finite(), "{name}: RMSEs finite");
+        assert!(
+            r.lmfao_rmse <= 1.2 * r.sgd_rmse,
+            "{name}: structure-aware RMSE {} vs one-epoch SGD {}",
+            r.lmfao_rmse,
+            r.sgd_rmse
+        );
+        assert!(
+            r.stats_bytes < r.matrix_bytes,
+            "{name}: statistics {} B vs matrix {} B",
+            r.stats_bytes,
+            r.matrix_bytes
+        );
+    }
 }

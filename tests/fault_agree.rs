@@ -3,9 +3,10 @@
 //! Two layers:
 //!
 //! * **Always compiled** — delta edge cases (empty batches, insert+delete
-//!   of the same row in one batch, mid-batch arity/type mismatches) and
-//!   panic containment (a worker that panics surfaces as a structured
-//!   [`DataError::WorkerPanic`], never a process abort).
+//!   of the same row in one batch, mid-batch arity/type mismatches), the
+//!   cost of the sites when compiled out (under 1 % of a maintained
+//!   delta), and panic containment (a worker that panics surfaces as a
+//!   structured [`DataError::WorkerPanic`], never a process abort).
 //! * **`--features fault-injection`** — randomized fault schedules
 //!   ([`fdb::data::fault::FaultPlan`]) against random delta streams
 //!   across every engine composition. The invariant, checked after every
@@ -186,6 +187,70 @@ fn mid_batch_schema_mismatches_roll_back_completely() {
         q.batch.len(),
         1e-12,
     );
+}
+
+// ---------------------------------------------------------------------------
+// Cost of the sites when compiled out (feature-independent)
+// ---------------------------------------------------------------------------
+
+/// Without the feature every site must be free: 8 sites (a generous bound
+/// on those one maintained delta crosses — validate, commit, per-view
+/// walk, publish, cache admit/evict) × the measured cost of one
+/// `fault::check` stay under 1 % of one maintained single-row
+/// `apply_delta`. With the feature on the sites are real work; the
+/// numbers are computed but not bounded.
+#[test]
+fn fault_sites_cost_under_one_percent_of_a_delta_when_compiled_out() {
+    use fdb::data::fault;
+    use std::hint::black_box;
+    use std::time::Instant;
+    let _guard = fault_lock();
+    const CALLS: u64 = 200_000;
+    let timed_loop = |checked: bool| -> f64 {
+        let t = Instant::now();
+        let mut acc = 0u64;
+        for i in 0..CALLS {
+            if checked {
+                fault::check("overhead-probe").expect("no fault plan installed");
+            }
+            acc = acc.wrapping_add(black_box(i));
+        }
+        black_box(acc);
+        t.elapsed().as_nanos() as f64
+    };
+    // Best of five alternating passes per arm: a preempted pass can only
+    // inflate one arm, and the minimum discards it.
+    let (mut base, mut checked) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        base = base.min(timed_loop(false));
+        checked = checked.min(timed_loop(true));
+    }
+    // Both arms compile to the same loop when the sites are out, so the
+    // difference is timer noise in either direction: clamp at zero.
+    let ns_per_check = ((checked - base) / CALLS as f64).max(0.0);
+
+    let db = snowflake(64);
+    let q = query();
+    let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
+    let mut st = engine.prepare(&db, &q).unwrap();
+    let updates = 64;
+    let t = Instant::now();
+    for i in 0..updates {
+        let d = Delta::insert("F", frow(i % 3, i % 2, i as f64));
+        engine.apply_delta(&mut st, &d).unwrap();
+    }
+    let apply_delta_ns = t.elapsed().as_nanos() as f64 / updates as f64;
+    assert!(apply_delta_ns > 0.0);
+
+    if !fault::injection_enabled() {
+        let frac = 8.0 * ns_per_check / apply_delta_ns;
+        assert!(
+            frac < 0.01,
+            "compiled-out fault sites cost {:.4}% of a delta (≥1%): {ns_per_check:.3} ns/check, \
+             {apply_delta_ns:.0} ns/delta",
+            frac * 100.0
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@
 //! `SUM(Π f(attr)) WHERE cond GROUP BY cats` workload of §2. The three
 //! engines behind the [`crate::Engine`](crate::backend::Engine) trait —
 //! flat, factorized, and LMFAO — all take this one value, which is what
-//! makes the Figure 6 ablation (and any later backend dispatch, caching,
-//! or sharding layer) a matter of swapping engine objects rather than
-//! calling three bespoke APIs.
+//! makes the Figure 6 ablation (and backend dispatch) a matter of
+//! swapping engine objects rather than calling three bespoke APIs.
 
 use crate::batch::AggBatch;
 use fdb_data::{DataError, Database};

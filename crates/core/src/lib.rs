@@ -28,17 +28,14 @@
 //!   kernels (specialisation).
 //! * [`kernel`] — batch-at-a-time columnar kernels: mixed-radix code
 //!   batches, payload scatter/merge, factor/filter passes.
-//! * [`morsel`] — morsel-driven scheduling: fixed row-range work units
-//!   pulled from a shared queue, used by the root scan and
-//!   [`ShardedEngine`] so skewed partitions no longer pin one worker.
+//! * [`morsel`] — morsel-driven scheduling: work units pulled from a
+//!   shared queue by every parallel path (root-scan morsels, root
+//!   subtrees, merge pairs), so a skewed unit never pins its peers.
 //! * [`parallel`] — domain/task parallelism and [`EngineConfig`]
 //!   (`threads` defaults to the machine's available parallelism); the
-//!   toggles reproduce the Figure 6 ablation.
-//! * [`shard`] — fact-table data parallelism over *any* backend:
-//!   [`ShardedEngine`] partitions the fact relation
-//!   ([`fdb_data::Database::shard`], dimension tables `Arc`-shared), runs
-//!   the inner engine per shard, and merges [`BatchResult`]s ring-additively
-//!   (re-dropping exact zeros that cancel only across shards).
+//!   toggles reproduce the Figure 6 ablation. Root morsels are the one
+//!   fact-table partitioner: each dimension subtree is computed once and
+//!   the per-morsel root views merge as dense `ViewData`.
 //! * [`dispatch`] — adaptive backend choice per query from cheap catalog
 //!   statistics ([`DispatchEngine`]), with the [`EngineConfig::backend`]
 //!   override knob.
@@ -72,7 +69,6 @@ pub mod morsel;
 pub mod parallel;
 pub mod plan;
 pub mod serve;
-pub mod shard;
 pub mod stats;
 pub mod viewcache;
 
@@ -85,9 +81,8 @@ pub use frontdoor::{Backpressure, BreakerState, FrontDoor, FrontDoorConfig};
 pub use group::{GroupIndex, KeySpace};
 pub use ir::{AggQuery, BatchResult};
 pub use maintain::{CustomMaint, MaintState, MaintainableEngine};
-pub use morsel::{MorselStats, DEFAULT_MORSEL_ROWS};
+pub use morsel::DEFAULT_MORSEL_ROWS;
 pub use parallel::{EngineChoice, EngineConfig};
 pub use serve::{EpochDb, ServingEngine, ServingStats};
-pub use shard::{ShardedEngine, DEFAULT_MIN_ROWS_PER_SHARD};
 pub use stats::{stats_from_result, sufficient_stats, SufficientStats};
 pub use viewcache::{ViewCache, ViewCacheStats, DEFAULT_VIEW_CACHE_BYTES};

@@ -28,10 +28,6 @@
 //!   invalidate-and-rescan. Non-additive cases (an insert outside the
 //!   prepare-time dense code ranges, an emptied relation) fall back to
 //!   full recomputation.
-//! * **[`ShardedEngine`]** — routes a fact delta to the shard that owns
-//!   the affected rows, re-runs `apply_delta` on that shard's inner state
-//!   only, and ring-additively re-merges the memoized per-shard results;
-//!   dimension deltas fan out to every shard.
 //! * **[`DispatchEngine`]** — picks the backend once at `prepare` (the
 //!   same statistics-driven choice as `run`) and thereafter routes every
 //!   delta to the prepared state's IVM path.
@@ -44,15 +40,14 @@
 //!
 //! **Cost model of composition.** Every [`MaintState`] level owns its own
 //! maintained [`Database`] copy (cheap at prepare — relations are
-//! `Arc`-shared until mutated) and applies each delta to it, so a wrapped
-//! composition like `ShardedEngine<DispatchEngine<…>>` pays
-//! [`Database::apply_delta`] once per level per delta. For inserts that
-//! is `O(delta)` per level; deletes pay the multiset's `O(rows)`
+//! `Arc`-shared until mutated) and applies each delta to it, so
+//! [`DispatchEngine`] over its chosen backend pays
+//! [`Database::apply_delta`] twice per delta. For inserts that is
+//! `O(delta)` per level; deletes pay the multiset's `O(rows)`
 //! match-and-rebuild per level. This duplication is deliberate: each
 //! level's state is self-contained (its `database()` is always exactly
 //! what its engine evaluated), which is what lets any engine recompute
-//! from any state and keeps the wrappers composable without a shared
-//! mutable catalog.
+//! from any state without a shared mutable catalog.
 
 use crate::backend::{Engine, FactorizedEngine, FlatEngine, LmfaoEngine};
 use crate::dispatch::DispatchEngine;
@@ -60,7 +55,6 @@ use crate::exec::{compute_node, compute_node_over, CacheCtx};
 use crate::ir::{AggQuery, BatchResult};
 use crate::parallel::{merge_view_data, EngineChoice, EngineConfig};
 use crate::plan::{Plan, ViewData};
-use crate::shard::{drop_exact_zeros, merge_into, ShardedEngine};
 use crate::viewcache::ViewCache;
 use fdb_data::{fault, DataError, Database, Delta, Relation};
 use std::collections::HashMap;
@@ -85,8 +79,6 @@ enum MaintKind {
     /// The LMFAO maintained view tree (boxed: it dwarfs the other
     /// variants, and every `MaintState` would carry its size inline).
     Lmfao(Box<LmfaoMaint>),
-    /// Per-shard inner states plus memoized per-shard results.
-    Sharded(ShardedMaint),
     /// The backend `DispatchEngine` chose at prepare, with its state.
     Dispatch { choice: EngineChoice, inner: Box<MaintState> },
     /// An external engine's own maintained structure (e.g. F-IVM).
@@ -197,11 +189,11 @@ pub trait MaintainableEngine: Engine {
                     ViewCache::global().invalidate_id(id);
                 }
                 // The maintained structure may be half-updated (an
-                // interrupted owner→root walk, a partially routed shard
-                // batch): rebuild it from the restored database. Rare —
-                // genuine (non-injected) maintenance failures past the
-                // database commit are exceptional — so the O(data)
-                // rebuild is the error path's price, not the hot path's.
+                // interrupted owner→root walk): rebuild it from the
+                // restored database. Rare — genuine (non-injected)
+                // maintenance failures past the database commit are
+                // exceptional — so the O(data) rebuild is the error
+                // path's price, not the hot path's.
                 match self.prepare(&st.db, &st.q) {
                     Ok(fresh) => *st = fresh,
                     Err(_) => st.kind = MaintKind::Recompute,
@@ -593,134 +585,6 @@ impl MaintainableEngine for LmfaoEngine {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded: route the delta to the owning shard, re-merge
-// ---------------------------------------------------------------------------
-
-struct ShardedMaint {
-    fact: String,
-    states: Vec<MaintState>,
-    /// Memoized per-shard results — a delta re-evaluates only the shards
-    /// it touched, the rest merge from here.
-    last: Vec<BatchResult>,
-}
-
-/// Occurrences of `row` in `rel` (full-tuple equality), counting only up
-/// to `limit` — the delete router needs "does this shard still hold one",
-/// not an exact multiset count, so the scan stops as soon as the answer
-/// is decided.
-fn count_rows_up_to(rel: &Relation, row: &[fdb_data::Value], limit: i64) -> i64 {
-    let arity = rel.schema().arity();
-    let mut found = 0i64;
-    for r in 0..rel.len() {
-        if (0..arity).all(|c| rel.value(r, c) == row[c]) {
-            found += 1;
-            if found >= limit {
-                break;
-            }
-        }
-    }
-    found
-}
-
-impl<E: MaintainableEngine + Sync> MaintainableEngine for ShardedEngine<E> {
-    fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
-        q.validate(db)?;
-        let (fact, n) = self.plan_shards(db, q)?;
-        let shard_dbs: Vec<Database> = if n == 1 { vec![db.clone()] } else { db.shard(&fact, n)? };
-        let mut states = Vec::with_capacity(shard_dbs.len());
-        let mut last = Vec::with_capacity(shard_dbs.len());
-        for sdb in &shard_dbs {
-            let mut st = self.inner().prepare(sdb, q)?;
-            last.push(self.inner().eval(&mut st)?);
-            states.push(st);
-        }
-        Ok(MaintState {
-            db: db.clone(),
-            q: q.clone(),
-            kind: MaintKind::Sharded(ShardedMaint { fact, states, last }),
-        })
-    }
-
-    fn apply_delta_kind(
-        &self,
-        st: &mut MaintState,
-        delta: &Delta,
-    ) -> Result<BatchResult, DataError> {
-        let MaintKind::Sharded(sm) = &mut st.kind else {
-            return self.run(&st.db, &st.q);
-        };
-        fault::check("maintain-view")?;
-        if delta.relation == sm.fact && sm.states.len() > 1 {
-            // Fact deltas route row-wise: an insert lands on the last
-            // shard; a delete goes to a shard that (still) holds the row,
-            // accounting for rows this very batch routed there already.
-            let mut subs: Vec<Delta> = sm.states.iter().map(|_| Delta::new(&sm.fact)).collect();
-            let nsub = subs.len();
-            for (row, mult) in delta.rows() {
-                if *mult > 0 {
-                    subs[nsub - 1].push_insert(row.to_vec());
-                    continue;
-                }
-                let target = (0..nsub).find(|&i| {
-                    let routed: i64 =
-                        subs[i].rows().iter().filter(|(r, _)| r == row).map(|(_, m)| *m).sum();
-                    // A pending routed insert already covers the delete;
-                    // otherwise the shard must hold strictly more copies
-                    // than the deletes already routed to it — the scan
-                    // stops as soon as that many are found.
-                    routed > 0
-                        || sm.states[i]
-                            .database()
-                            .get(&sm.fact)
-                            .map(|rel| count_rows_up_to(rel, row, 1 - routed) > -routed)
-                            .unwrap_or(false)
-                });
-                match target {
-                    Some(i) => subs[i].push_delete(row.to_vec()),
-                    None => {
-                        return Err(DataError::Invalid(format!(
-                            "delete of a row no shard of `{}` holds",
-                            sm.fact
-                        )))
-                    }
-                }
-            }
-            for (i, sub) in subs.iter().enumerate() {
-                if !sub.is_empty() {
-                    sm.last[i] = self.inner().apply_delta(&mut sm.states[i], sub)?;
-                }
-            }
-        } else {
-            // Dimension deltas (and the single-shard fallback) apply to
-            // every shard — each shares the updated relation's join keys.
-            for (i, shard) in sm.states.iter_mut().enumerate() {
-                sm.last[i] = self.inner().apply_delta(shard, delta)?;
-            }
-        }
-        merge_last(sm)
-    }
-
-    fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
-        match &mut st.kind {
-            MaintKind::Sharded(sm) => merge_last(sm),
-            MaintKind::Custom(c) => c.eval(&st.db, &st.q),
-            _ => self.run(&st.db, &st.q),
-        }
-    }
-}
-
-/// Ring-additive merge of the memoized per-shard results.
-fn merge_last(sm: &ShardedMaint) -> Result<BatchResult, DataError> {
-    let mut iter = sm.last.iter();
-    let mut acc = iter.next().expect("at least one shard").clone();
-    for r in iter {
-        merge_into(&mut acc, r.clone())?;
-    }
-    drop_exact_zeros(&mut acc);
-    Ok(acc)
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch: choose at prepare, maintain through the chosen backend
 // ---------------------------------------------------------------------------
 
@@ -955,16 +819,18 @@ mod tests {
         assert_same("after error", &engine.eval(&mut st).unwrap(), &cold, q.batch.len());
     }
 
-    /// Sharded and dispatch compositions maintain through their wrapped
-    /// engines and agree with cold runs after every delta.
+    /// Multi-threaded LMFAO and the dispatch composition at two-row root
+    /// morsels maintain through their view trees and agree with cold runs
+    /// after every delta — and so do their own cold runs, which cut the
+    /// root into morsels and tree-merge the partials.
     #[test]
-    fn sharded_and_dispatch_maintenance_agree() {
+    fn morsel_and_dispatch_maintenance_agree() {
         let db = snowflake();
         let q = query();
-        let lmfao = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
-        let sharded = ShardedEngine::with_shards(lmfao, 2).with_min_rows_per_shard(1);
-        let dispatch = DispatchEngine::new();
-        let mut st_sharded = sharded.prepare(&db, &q).unwrap();
+        let cfg = EngineConfig { threads: 3, morsel_rows: 2, ..Default::default() };
+        let lmfao = LmfaoEngine::with_config(cfg);
+        let dispatch = DispatchEngine::with_config(cfg);
+        let mut st_lmfao = lmfao.prepare(&db, &q).unwrap();
         let mut st_dispatch = dispatch.prepare(&db, &q).unwrap();
         let mut shadow = db.clone();
         let deltas = [
@@ -974,16 +840,14 @@ mod tests {
             Delta::delete("D2", vec![Value::Int(1), Value::F64(1.0)]),
         ];
         for (i, d) in deltas.iter().enumerate() {
-            let a = sharded.apply_delta(&mut st_sharded, d).unwrap();
+            let a = lmfao.apply_delta(&mut st_lmfao, d).unwrap();
             let b = dispatch.apply_delta(&mut st_dispatch, d).unwrap();
             shadow.apply_delta(d).unwrap();
             let cold = FlatEngine.run(&shadow, &q).unwrap();
-            assert_same(&format!("sharded {i}"), &a, &cold, q.batch.len());
+            assert_same(&format!("lmfao {i}"), &a, &cold, q.batch.len());
             assert_same(&format!("dispatch {i}"), &b, &cold, q.batch.len());
+            let morsels = lmfao.run(&shadow, &q).unwrap();
+            assert_same(&format!("lmfao cold {i}"), &morsels, &cold, q.batch.len());
         }
-        // The sharded fact partition must keep covering the fact multiset.
-        let MaintKind::Sharded(sm) = &st_sharded.kind else { panic!("sharded state") };
-        let total: usize = sm.states.iter().map(|s| s.database().get("F").unwrap().len()).sum();
-        assert_eq!(total, shadow.get("F").unwrap().len());
     }
 }

@@ -1,20 +1,20 @@
 //! Domain and task parallelism (LMFAO §4, the "+parallelisation" stage of
 //! the Figure 6 ablation).
 //!
-//! Two orthogonal strategies, both over plain scoped threads:
+//! Two orthogonal strategies, both scheduled by
+//! [`crate::morsel::run_stealing`] on at most `EngineConfig::threads`
+//! workers:
 //!
 //! * **task parallelism** — the subtrees hanging off the root are
-//!   independent and are computed on separate workers
-//!   ([`compute_subtrees_parallel`]);
+//!   independent work units ([`compute_subtrees_parallel`]);
 //! * **domain parallelism** — the root relation's scan is partitioned into
-//!   row chunks whose per-view partial aggregates merge additively
-//!   ([`compute_root_chunked`]).
+//!   row morsels whose per-view partial aggregates merge additively
+//!   ([`compute_root_chunked`]). This is the one fact-table partitioner:
+//!   every dimension subtree is computed once and shared by all morsels.
 
 use crate::exec::{compute_node, CacheCtx};
 use crate::plan::{Plan, ViewData};
 use fdb_data::{fault, DataError};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Which backend executes a query — the override knob consulted by
@@ -42,8 +42,9 @@ pub struct EngineConfig {
     pub specialize: bool,
     /// Deduplicate identical partial aggregates and consolidate views.
     pub share: bool,
-    /// Worker threads for domain parallelism at the root (1 = sequential).
-    /// Defaults to the machine's available parallelism.
+    /// Worker threads for task and domain parallelism (1 = sequential):
+    /// no query runs more workers than this. Defaults to the machine's
+    /// available parallelism.
     pub threads: usize,
     /// Ceiling on composite group codes per dense accumulator: group-by
     /// sets whose domain-size product stays at or below this use flat
@@ -60,10 +61,10 @@ pub struct EngineConfig {
     /// relation content) is unchanged — the residual-filter reuse of
     /// iterative trainers. `0` bypasses the cache entirely.
     pub view_cache_bytes: usize,
-    /// Rows per morsel for domain parallelism: the root scan (and
-    /// [`crate::ShardedEngine`]) is cut into row ranges of roughly this
-    /// many rows, pulled by workers from a shared queue. Also the batch
-    /// size of the batched leaf scan. See [`crate::morsel`].
+    /// Rows per morsel for domain parallelism: the root scan is cut into
+    /// row ranges of roughly this many rows, pulled by workers from a
+    /// shared queue. Also the batch size of the batched leaf scan. See
+    /// [`crate::morsel`].
     pub morsel_rows: usize,
 }
 
@@ -100,11 +101,12 @@ pub(crate) fn merge_view_data(a: &mut [ViewData], b: Vec<ViewData>) {
     }
 }
 
-/// Task parallelism: computes the root's child subtrees on separate
-/// workers. `to_compute` is the bottom-up order minus the root and minus
-/// any cache-served nodes; already-served entries in `data` (and the
-/// per-worker results) are visible to dependent nodes, and every computed
-/// node is offered to the view cache via `ctx`.
+/// Task parallelism: computes the root's child subtrees as work units
+/// pulled by at most `cfg.threads` workers. `to_compute` is the bottom-up
+/// order minus the root and minus any cache-served nodes; already-served
+/// entries in `data` (and each unit's own results) are visible to
+/// dependent nodes, and every computed node is offered to the view cache
+/// via `ctx`.
 pub(crate) fn compute_subtrees_parallel(
     plan: &Plan,
     to_compute: &[usize],
@@ -112,70 +114,34 @@ pub(crate) fn compute_subtrees_parallel(
     cfg: &EngineConfig,
     ctx: Option<&CacheCtx<'_>>,
 ) -> Result<(), DataError> {
-    let children = plan.nodes[plan.root].children.clone();
-    let mut partitions: Vec<Vec<usize>> = children
+    let partitions: Vec<Vec<usize>> = plan.nodes[plan.root]
+        .children
         .iter()
         .map(|&c| to_compute.iter().copied().filter(|n| plan.subtree[c].contains(n)).collect())
         .collect();
     let shared: &[Option<Arc<Vec<ViewData>>>] = data;
-    let poisoned = AtomicBool::new(false);
-    type Part = Result<Vec<(usize, Arc<Vec<ViewData>>)>, DataError>;
-    let results: Vec<Part> = std::thread::scope(|s| {
-        let handles: Vec<_> = partitions
-            .drain(..)
-            .map(|part| {
-                let (cfg, poisoned) = (*cfg, &poisoned);
-                s.spawn(move || -> Part {
-                    // Cache-served children arrive through the shared
-                    // snapshot; locally computed nodes overlay it.
-                    let mut local: Vec<Option<Arc<Vec<ViewData>>>> = shared.to_vec();
-                    let mut out = Vec::with_capacity(part.len());
-                    for &n in &part {
-                        if poisoned.load(Ordering::Relaxed) {
-                            // A sibling subtree failed: drain cleanly.
-                            break;
-                        }
-                        let views = catch_unwind(AssertUnwindSafe(|| {
-                            fault::check("morsel-exec")?;
-                            Ok(Arc::new(compute_node(plan, n, &local, &cfg, 0..plan.rels[n].len())))
-                        }))
-                        .unwrap_or_else(|p| {
-                            Err(DataError::WorkerPanic(crate::morsel::panic_message(p)))
-                        });
-                        let views = match views {
-                            Ok(v) => v,
-                            Err(e) => {
-                                poisoned.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
-                        };
-                        if let Some(ctx) = ctx {
-                            ctx.admit(n, &views);
-                        }
-                        local[n] = Some(Arc::clone(&views));
-                        out.push((n, views));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker harness panicked")).collect()
-    });
-    let mut first_err = None;
-    for part in results {
-        match part {
-            Ok(part) => {
-                for (n, d) in part {
-                    data[n] = Some(d);
-                }
+    let computed = crate::morsel::run_stealing(partitions.len(), cfg.threads, |i| {
+        // Cache-served children arrive through the shared snapshot;
+        // locally computed nodes overlay it.
+        let mut local = shared.to_vec();
+        let mut out = Vec::with_capacity(partitions[i].len());
+        for &n in &partitions[i] {
+            fault::check("morsel-exec")?;
+            let views = Arc::new(compute_node(plan, n, &local, cfg, 0..plan.rels[n].len()));
+            if let Some(ctx) = ctx {
+                ctx.admit(n, &views);
             }
-            Err(e) => first_err = first_err.or(Some(e)),
+            local[n] = Some(Arc::clone(&views));
+            out.push((n, views));
+        }
+        Ok::<_, DataError>(out)
+    })?;
+    for part in computed {
+        for (n, views) in part? {
+            data[n] = Some(views);
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// Domain parallelism: computes the root node over `root_rows` rows split
@@ -192,7 +158,7 @@ pub(crate) fn compute_root_chunked(
 ) -> Result<Vec<ViewData>, DataError> {
     let morsels =
         crate::morsel::plan_morsels(root_rows, cfg.morsel_rows, cfg.threads.min(root_rows));
-    let (partials, _stats) =
+    let partials =
         crate::morsel::run_stealing(morsels.len(), cfg.threads, |i| -> Result<_, DataError> {
             fault::check("morsel-exec")?;
             Ok(compute_node(plan, plan.root, data, cfg, morsels[i].clone()))

@@ -24,10 +24,9 @@
 //!   *outside* a subtree serializes that subtree identically, so its
 //!   views are served from cache and only the nodes on the path from a
 //!   filtered relation to the root are rescanned;
-//! * **sharded execution warms once**: per-shard sub-databases share
-//!   dimension relations by `Arc` (same `data_id`), so a dimension
-//!   subtree materialized for one shard is a hit for every other shard
-//!   and every later run.
+//! * **thread counts share subtrees**: only the root's key carries the
+//!   morsel count, so a dimension subtree materialized at one thread
+//!   count or morsel size is a hit at every other and in every later run.
 //!
 //! The cache is process-global ([`ViewCache::global`]) and byte-bounded:
 //! its effective ceiling is the **largest**

@@ -2,12 +2,11 @@
 //! attributes, in a stable insertion order.
 //!
 //! Relations are held as `Arc<Relation>` so databases can share unmutated
-//! tables structurally: [`Database::shard`] partitions one fact relation
-//! into per-shard databases whose dimension tables are the *same* `Arc`s —
-//! same memory, same [`Relation::data_id`] — which is what lets the
-//! cross-query [`SortCache`](crate::sortcache::SortCache) serve one sorted
-//! dimension view to every shard. Mutation through [`Database::get_mut`]
-//! is copy-on-write (`Arc::make_mut`), so sharing is never observable.
+//! tables structurally: a [`Database::snapshot`] (and any clone) holds the
+//! *same* `Arc`s — same memory, same [`Relation::data_id`] — so pinning an
+//! epoch copies no rows and the cross-query caches keep serving the shared
+//! relations. Mutation through [`Database::get_mut`] is copy-on-write
+//! (`Arc::make_mut`), so sharing is never observable.
 
 use crate::dict::Dictionary;
 use crate::error::DataError;
@@ -23,8 +22,8 @@ pub struct Database {
     relations: HashMap<String, Arc<Relation>>,
     /// Dictionaries for categorical attributes, keyed by attribute name
     /// (attribute names are global in our star/snowflake schemas).
-    /// `Arc`-held for the same reason as relations: shard databases bump
-    /// a refcount per dictionary instead of copying string tables, and
+    /// `Arc`-held for the same reason as relations: snapshots bump a
+    /// refcount per dictionary instead of copying string tables, and
     /// [`Database::dict_mut`] is copy-on-write.
     dicts: HashMap<String, Arc<Dictionary>>,
     /// Update-batch epoch: bumped once per successfully committed
@@ -47,8 +46,8 @@ impl Database {
     }
 
     /// Adds (or replaces) a relation under `name`, sharing an existing
-    /// `Arc` instead of taking ownership — the sharding primitive: shard
-    /// databases alias their dimension tables this way.
+    /// `Arc` instead of taking ownership (no copy; the relation keeps its
+    /// [`Relation::data_id`]).
     pub fn add_shared(&mut self, name: impl Into<String>, rel: Arc<Relation>) {
         let name = name.into();
         if !self.relations.contains_key(&name) {
@@ -74,8 +73,8 @@ impl Database {
     }
 
     /// Looks up a relation mutably. Copy-on-write: if the relation is
-    /// shared with another database (e.g. across shards), the shared copy
-    /// is detached first, so mutation never leaks into siblings.
+    /// shared with another database (e.g. a snapshot), the shared copy is
+    /// detached first, so mutation never leaks into siblings.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Relation> {
         self.relations
             .get_mut(name)
@@ -155,7 +154,7 @@ impl Database {
     }
 
     /// The dictionary for categorical attribute `attr`, creating it if
-    /// absent. Copy-on-write when the dictionary is shared across shards.
+    /// absent. Copy-on-write when the dictionary is shared with a snapshot.
     pub fn dict_mut(&mut self, attr: &str) -> &mut Dictionary {
         Arc::make_mut(self.dicts.entry(attr.to_string()).or_default())
     }
@@ -163,44 +162,6 @@ impl Database {
     /// The dictionary for categorical attribute `attr`, if any.
     pub fn dict(&self, attr: &str) -> Option<&Dictionary> {
         self.dicts.get(attr).map(|d| d.as_ref())
-    }
-
-    /// Partitions the fact relation `fact` into `n` contiguous row chunks
-    /// and returns one database per chunk. Every other relation (and the
-    /// dictionaries) is **shared, not copied**: the shard databases hold
-    /// the same `Arc<Relation>`s, so dimension tables keep their
-    /// [`Relation::data_id`] and a sort cache warmed by one shard serves
-    /// all of them. Each fact chunk is fresh content with a fresh id.
-    ///
-    /// Chunks differ in size by at most one row; when `n` exceeds the fact
-    /// cardinality the trailing shards hold an empty fact relation (a join
-    /// over an empty relation is empty, which every engine handles).
-    ///
-    /// Because every aggregate the engines evaluate is a sum over the
-    /// join and the join is linear in each input relation, the results of
-    /// the shards merge additively — see `fdb-core::shard`.
-    pub fn shard(&self, fact: &str, n: usize) -> Result<Vec<Database>> {
-        if n == 0 {
-            return Err(DataError::Invalid("shard count must be >= 1".into()));
-        }
-        let fact_rel = self.get_shared(fact)?;
-        let rows = fact_rel.len();
-        let mut shards = Vec::with_capacity(n);
-        for k in 0..n {
-            // Balanced contiguous ranges: the first `rows % n` chunks get
-            // one extra row.
-            let lo = (rows * k) / n;
-            let hi = (rows * (k + 1)) / n;
-            let mut db = Database {
-                names: self.names.clone(),
-                relations: self.relations.clone(),
-                dicts: self.dicts.clone(),
-                epoch: self.epoch,
-            };
-            db.relations.insert(fact.to_string(), Arc::new(fact_rel.row_range(lo..hi)));
-            shards.push(db);
-        }
-        Ok(shards)
     }
 }
 
@@ -254,33 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_partitions_fact_and_shares_dimensions() {
-        let mut db = Database::new();
-        db.add("Fact", int_rel(&[0, 1, 2, 3, 4, 5, 6]));
-        db.add("Dim", int_rel(&[10, 20]));
-        db.dict_mut("city").encode("zurich");
-        let shards = db.shard("Fact", 3).unwrap();
-        assert_eq!(shards.len(), 3);
-        // Row-exact partition: sizes 2/3 differing by at most one, contents
-        // concatenating back to the original.
-        let mut all = Vec::new();
-        for s in &shards {
-            let f = s.get("Fact").unwrap();
-            assert!(f.len() == 2 || f.len() == 3);
-            all.extend_from_slice(f.int_col(0));
-            // Dimension tables are the same allocation and content state.
-            assert_eq!(s.get("Dim").unwrap().data_id(), db.get("Dim").unwrap().data_id());
-            assert!(Arc::ptr_eq(&s.get_shared("Dim").unwrap(), &db.get_shared("Dim").unwrap()));
-            // Fact chunks are fresh content.
-            assert_ne!(f.data_id(), db.get("Fact").unwrap().data_id());
-            // Dictionaries and name order travel with the shard.
-            assert_eq!(s.dict("city").unwrap().decode(0), Some("zurich"));
-            assert_eq!(s.names(), db.names());
-        }
-        assert_eq!(all, vec![0, 1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
     fn snapshot_pins_epoch_and_content_against_later_deltas() {
         use crate::delta::Delta;
         let mut db = Database::new();
@@ -300,19 +234,5 @@ mod tests {
         // Ad-hoc mutation does not either: the epoch counts delta batches.
         db.get_mut("R").unwrap().push_row(&[Value::Int(4)]).unwrap();
         assert_eq!(db.epoch(), 1);
-        // Shards inherit the epoch of the state they partition.
-        assert_eq!(db.shard("R", 2).unwrap()[0].epoch(), 1);
-    }
-
-    #[test]
-    fn shard_more_ways_than_rows_gives_empty_tails() {
-        let mut db = Database::new();
-        db.add("Fact", int_rel(&[7, 8]));
-        let shards = db.shard("Fact", 5).unwrap();
-        let sizes: Vec<usize> = shards.iter().map(|s| s.get("Fact").unwrap().len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 2);
-        assert!(sizes.iter().all(|&s| s <= 1));
-        assert!(db.shard("Fact", 0).is_err());
-        assert!(db.shard("Nope", 2).is_err());
     }
 }

@@ -99,13 +99,6 @@ impl Column {
         }
     }
 
-    fn slice(&self, range: std::ops::Range<usize>) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(v[range].to_vec()),
-            Column::F64(v) => Column::F64(v[range].to_vec()),
-        }
-    }
-
     /// `(min, max)` of an integer column; `None` if empty or float-backed.
     pub fn int_min_max(&self) -> Option<(i64, i64)> {
         match self {
@@ -355,21 +348,6 @@ impl Relation {
             schema: self.schema.clone(),
             cols: self.cols.iter().map(|c| c.gather(perm)).collect(),
             nrows: perm.len(),
-            data_id: next_data_id(),
-        }
-    }
-
-    /// The contiguous sub-relation holding rows `range` (same schema).
-    /// This is the fact-partitioning primitive behind
-    /// [`Database::shard`](crate::catalog::Database::shard): columns are
-    /// copied as straight slices, so a shard costs one memcpy per column.
-    /// The result is new content (fresh [`Relation::data_id`]).
-    pub fn row_range(&self, range: std::ops::Range<usize>) -> Relation {
-        debug_assert!(range.end <= self.nrows);
-        Relation {
-            schema: self.schema.clone(),
-            cols: self.cols.iter().map(|c| c.slice(range.clone())).collect(),
-            nrows: range.len(),
             data_id: next_data_id(),
         }
     }
@@ -734,22 +712,5 @@ mod tests {
             Err(DataError::TypeMismatch { ref attribute, expected: "Double", .. })
                 if attribute == "k"
         ));
-    }
-
-    #[test]
-    fn row_range_slices_contiguously() {
-        let r = sample();
-        let mid = r.row_range(1..3);
-        assert_eq!(mid.len(), 2);
-        assert_eq!(mid.int_col(0), &[1, 2]);
-        assert_eq!(mid.f64_col(1), &[2.0, 3.0]);
-        assert_eq!(mid.schema(), r.schema());
-        assert_ne!(mid.data_id(), r.data_id(), "a shard is new content");
-        let empty = r.row_range(4..4);
-        assert!(empty.is_empty());
-        // Concatenating the shards reconstructs the relation, content-wise.
-        let mut whole = r.row_range(0..1);
-        whole.append(&r.row_range(1..4)).unwrap();
-        assert_eq!(whole, r);
     }
 }

@@ -3,10 +3,10 @@
 //! The paper's generators (Retailer &c.) draw foreign keys i.i.d., so any
 //! contiguous row split of the fact table gets statistically identical
 //! work. This generator instead *clusters* the fact table by its skewed
-//! key: heavy keys occupy long contiguous stretches, so equal-row shards
+//! key: heavy keys occupy long contiguous stretches, so equal-row chunks
 //! carry very different group structures — the shape that starves a
-//! one-thread-per-shard scheduler and that morsel-sized work units are
-//! meant to fix (ShardedEngine's over-partitioning).
+//! one-thread-per-chunk scheduler and that morsel-sized work units are
+//! meant to fix (LMFAO's root morsels, pulled from a shared queue).
 
 use crate::features::FeatureSet;
 use crate::util::{gauss, skewed_index, uniform};
@@ -74,7 +74,7 @@ pub fn zipf_snowflake(cfg: ZipfConfig) -> Dataset {
     }
 
     // Fact(k1, k2, v): k1 power-law-skewed, then *sorted* so heavy keys
-    // form contiguous runs — contiguous shards see unequal group structure.
+    // form contiguous runs — contiguous morsels see unequal group structure.
     let mut rows: Vec<(i64, i64, f64)> = (0..cfg.fact_rows)
         .map(|_| {
             let k1 = skewed_index(&mut rng, dims, cfg.skew);

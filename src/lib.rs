@@ -30,7 +30,7 @@ pub mod prelude {
         AggBatch, AggQuery, Aggregate, Backpressure, BatchResult, BreakerState, DispatchEngine,
         Engine, EngineChoice, EngineConfig, EpochDb, FactorizedEngine, FilterOp, FlatEngine,
         FrontDoor, FrontDoorConfig, LmfaoEngine, MaintState, MaintainableEngine, ServingEngine,
-        ServingStats, ShardedEngine,
+        ServingStats,
     };
     pub use fdb_data::{AttrType, Attribute, Database, Delta, Relation, Schema, Value};
     pub use fdb_ring::{CovRing, Ring, Semiring};

@@ -27,7 +27,7 @@ pub fn oracle(db: &Database, q: &AggQuery) -> BatchResult {
 
 /// Asserts two batch results carry identical groups, identical
 /// *represented key sets* (which is how the exactly-zero-dropped contract
-/// is held across engines, shard merges, and dense/hash representations),
+/// is held across engines, morsel merges, and dense/hash representations),
 /// and values equal within relative tolerance `tol` — the caller's float
 /// round-off allowance for differing summation orders.
 pub fn assert_results_match(

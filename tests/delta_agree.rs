@@ -1,9 +1,9 @@
 //! Delta correctness across the unified maintenance layer: for every
-//! engine (including the sharded and dispatch compositions and F-IVM),
-//! `MaintainableEngine::apply_delta` over arbitrary insert/delete
-//! sequences must agree with a **cold** `Engine::run` over the
-//! equivalently mutated database — on the dish example, on the retailer
-//! dataset, and on randomized snowflakes.
+//! engine (including multi-threaded root-morsel configurations, the
+//! dispatch composition and F-IVM), `MaintainableEngine::apply_delta`
+//! over arbitrary insert/delete sequences must agree with a **cold**
+//! `Engine::run` over the equivalently mutated database — on the dish
+//! example, on the retailer dataset, and on randomized snowflakes.
 //!
 //! The acceptance-shaped test at the bottom pins the incremental path
 //! itself: a single-row fact insert after `prepare` is served by delta
@@ -18,11 +18,12 @@ use proptest::prelude::*;
 
 mod common;
 
-/// The maintainable-engine panel: every backend plus the wrappers. The
-/// sharded wrapper shards for real (`min_rows_per_shard(1)`) and also
-/// composes over dispatch.
+/// The maintainable-engine panel: every backend plus dispatch, and LMFAO
+/// and dispatch at two-row root morsels on three threads, so even the
+/// example databases' roots split into tree-merged morsels.
 fn panel() -> Vec<(String, Box<dyn MaintainableEngine>)> {
     let seq = EngineConfig { threads: 1, ..Default::default() };
+    let morsels = EngineConfig { threads: 3, morsel_rows: 2, ..Default::default() };
     vec![
         ("flat".into(), Box::new(FlatEngine)),
         ("factorized".into(), Box::new(FactorizedEngine::new())),
@@ -32,25 +33,15 @@ fn panel() -> Vec<(String, Box<dyn MaintainableEngine>)> {
             Box::new(LmfaoEngine::with_config(EngineConfig { dense_limit: 0, ..seq })),
         ),
         ("dispatch".into(), Box::new(DispatchEngine::new())),
-        (
-            "sharded-lmfao".into(),
-            Box::new(
-                ShardedEngine::with_shards(LmfaoEngine::with_config(seq), 3)
-                    .with_min_rows_per_shard(1),
-            ),
-        ),
-        (
-            "sharded-dispatch".into(),
-            Box::new(
-                ShardedEngine::with_shards(DispatchEngine::new(), 2).with_min_rows_per_shard(1),
-            ),
-        ),
+        ("morsel-lmfao".into(), Box::new(LmfaoEngine::with_config(morsels))),
+        ("morsel-dispatch".into(), Box::new(DispatchEngine::with_config(morsels))),
     ]
 }
 
 /// Prepares every panel engine on `db`, applies `deltas` one at a time,
-/// and checks each engine's maintained result against a cold flat-engine
-/// run over the equivalently mutated shadow database after every step.
+/// and checks each engine's maintained result — and its own cold run —
+/// against a cold flat-engine run over the equivalently mutated shadow
+/// database after every step.
 fn check_stream(db: &Database, q: &AggQuery, deltas: &[Delta]) {
     let mut states: Vec<(String, Box<dyn MaintainableEngine>, MaintState)> = panel()
         .into_iter()
@@ -70,6 +61,14 @@ fn check_stream(db: &Database, q: &AggQuery, deltas: &[Delta]) {
                 &cold,
                 &got,
                 &format!("{name} delta {step}"),
+                q.batch.len(),
+                1e-6,
+            );
+            let own = e.run(&shadow, q).unwrap_or_else(|err| panic!("{name}: cold {step}: {err}"));
+            common::assert_results_match(
+                &cold,
+                &own,
+                &format!("{name} cold {step}"),
                 q.batch.len(),
                 1e-6,
             );

@@ -5,8 +5,8 @@
 //! * **Always compiled** — delta edge cases (empty batches, insert+delete
 //!   of the same row in one batch, mid-batch arity/type mismatches), the
 //!   cost of the sites when compiled out (under 1 % of a maintained
-//!   delta), and panic containment (a worker that panics surfaces as a
-//!   structured [`DataError::WorkerPanic`], never a process abort).
+//!   delta), and panic containment (a panic during maintenance surfaces
+//!   as a structured [`DataError::WorkerPanic`], never a process abort).
 //! * **`--features fault-injection`** — randomized fault schedules
 //!   ([`fdb::data::fault::FaultPlan`]) against random delta streams
 //!   across every engine composition. The invariant, checked after every
@@ -278,17 +278,10 @@ fn worker_panics_surface_as_structured_errors_not_aborts() {
     let _guard = fault_lock();
     let db = snowflake(8);
     let q = query();
-    // Sharded execution: the panic fires inside a stealing worker (and
-    // again in the degraded unsharded retry); both are contained.
-    let sharded = ShardedEngine::with_shards(PanickyEngine, 2).with_min_rows_per_shard(1);
-    match sharded.run(&db, &q) {
-        Err(DataError::WorkerPanic(msg)) => {
-            assert!(msg.contains("engine invariant violated"), "payload preserved: {msg}")
-        }
-        other => panic!("expected WorkerPanic, got {other:?}"),
-    }
     // The maintenance wrapper: a panic mid-maintenance rolls the state's
-    // database back to the pre-delta epoch and returns Err.
+    // database back to the pre-delta epoch and returns Err. (Panics inside
+    // morsel workers are pinned by `fdb-core`'s morsel unit tests and the
+    // chaos panel's `morsel-exec` schedules.)
     let mut st = MaintState::recompute(db.clone(), q.clone());
     let before = epoch(st.database());
     match PanickyEngine.apply_delta(&mut st, &Delta::insert("F", frow(0, 0, 1.0))) {
@@ -400,25 +393,24 @@ mod chaos {
         }
     }
 
+    /// `morsel-lmfao` cuts even these few-row roots into two-row morsels
+    /// on three threads, so `morsel-exec` fires inside root morsels and
+    /// task-parallel subtrees.
     fn chaos_panel() -> Vec<(&'static str, Box<dyn MaintainableEngine>)> {
-        let seq = EngineConfig { threads: 2, ..Default::default() };
+        let threaded = EngineConfig { threads: 2, ..Default::default() };
+        let morsels = EngineConfig { threads: 3, morsel_rows: 2, ..Default::default() };
         vec![
             ("flat", Box::new(FlatEngine)),
-            ("lmfao", Box::new(LmfaoEngine::with_config(seq))),
-            (
-                "sharded-lmfao",
-                Box::new(
-                    ShardedEngine::with_shards(LmfaoEngine::with_config(seq), 2)
-                        .with_min_rows_per_shard(1),
-                ),
-            ),
+            ("lmfao", Box::new(LmfaoEngine::with_config(threaded))),
+            ("morsel-lmfao", Box::new(LmfaoEngine::with_config(morsels))),
             ("dispatch", Box::new(DispatchEngine::new())),
         ]
     }
 
     /// One chaos run: a fresh state, a random fault schedule, a random
     /// delta stream; after every delta the engine either agrees with the
-    /// cold recompute or has rolled back bit-identically.
+    /// cold recompute or has rolled back bit-identically, and a read
+    /// through the engine either agrees too or fails with a typed error.
     fn chaos_run(name: &str, engine: &dyn MaintainableEngine, seed: u64) -> (u64, u64) {
         let mut rng = Rng(seed);
         let db = snowflake(4 + rng.below(8) as usize);
@@ -455,6 +447,20 @@ mod chaos {
                     common::assert_results_match(&cold, &eval, &tag, q.batch.len(), 1e-9);
                 }
             }
+            // A read through the engine itself, unmuted: a fault in its
+            // workers must surface as a typed error, never an abort or a
+            // wrong answer.
+            fault::mute(false);
+            let read = engine.run(st.database(), &q);
+            fault::mute(true);
+            match read {
+                Ok(got) => {
+                    let cold = FlatEngine.run(&shadow, &q).expect("cold run");
+                    common::assert_results_match(&cold, &got, &tag, q.batch.len(), 1e-9);
+                }
+                Err(DataError::Injected(_) | DataError::WorkerPanic(_)) => {}
+                Err(e) => panic!("{tag}: read failed with an untyped error: {e}"),
+            }
             fault::mute(false);
         }
         (oks, errs)
@@ -467,18 +473,22 @@ mod chaos {
     fn randomized_fault_schedules_never_leave_half_applied_state() {
         let _guard = fault_lock();
         for (name, engine) in chaos_panel() {
-            let (mut oks, mut errs) = (0u64, 0u64);
+            let (mut oks, mut errs, mut morsel_hits) = (0u64, 0u64, 0u64);
             for seed in 0..200u64 {
                 let mut rng = Rng(seed ^ 0xC0FFEE);
                 fault::install(random_plan(&mut rng, seed));
                 let (o, e) = chaos_run(name, engine.as_ref(), seed);
                 oks += o;
                 errs += e;
+                morsel_hits += fault::hit_count("morsel-exec");
                 fault::clear();
             }
             // The schedules must actually exercise both outcomes.
             assert!(oks > 0, "{name}: no delta ever succeeded across 200 runs");
             assert!(errs > 0, "{name}: no fault ever fired across 200 runs");
+            if name == "morsel-lmfao" {
+                assert!(morsel_hits > 0, "{name}: no fault ever fired inside a morsel");
+            }
         }
     }
 

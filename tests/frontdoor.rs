@@ -196,17 +196,12 @@ type DynEngine = Box<dyn MaintainableEngine + Send + Sync>;
 
 fn panel() -> Vec<(String, DynEngine)> {
     let seq = EngineConfig { threads: 1, ..Default::default() };
+    let morsels = EngineConfig { threads: 3, morsel_rows: 2, ..Default::default() };
     vec![
         ("flat".into(), Box::new(FlatEngine)),
         ("lmfao".into(), Box::new(LmfaoEngine::with_config(seq))),
         ("dispatch".into(), Box::new(DispatchEngine::new())),
-        (
-            "sharded-lmfao".into(),
-            Box::new(
-                ShardedEngine::with_shards(LmfaoEngine::with_config(seq), 3)
-                    .with_min_rows_per_shard(1),
-            ),
-        ),
+        ("morsel-lmfao".into(), Box::new(LmfaoEngine::with_config(morsels))),
     ]
 }
 

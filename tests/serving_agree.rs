@@ -20,9 +20,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 type DynEngine = Box<dyn MaintainableEngine + Send + Sync>;
 
 /// The maintainable-engine panel (mirrors `tests/delta_agree.rs`): every
-/// backend plus the sharded and dispatch compositions.
+/// backend plus dispatch, and LMFAO and dispatch at two-row root morsels
+/// on three threads — readers then run tree-merged root morsels.
 fn panel() -> Vec<(String, DynEngine)> {
     let seq = EngineConfig { threads: 1, ..Default::default() };
+    let morsels = EngineConfig { threads: 3, morsel_rows: 2, ..Default::default() };
     vec![
         ("flat".into(), Box::new(FlatEngine)),
         ("factorized".into(), Box::new(FactorizedEngine::new())),
@@ -32,19 +34,8 @@ fn panel() -> Vec<(String, DynEngine)> {
             Box::new(LmfaoEngine::with_config(EngineConfig { dense_limit: 0, ..seq })),
         ),
         ("dispatch".into(), Box::new(DispatchEngine::new())),
-        (
-            "sharded-lmfao".into(),
-            Box::new(
-                ShardedEngine::with_shards(LmfaoEngine::with_config(seq), 3)
-                    .with_min_rows_per_shard(1),
-            ),
-        ),
-        (
-            "sharded-dispatch".into(),
-            Box::new(
-                ShardedEngine::with_shards(DispatchEngine::new(), 2).with_min_rows_per_shard(1),
-            ),
-        ),
+        ("morsel-lmfao".into(), Box::new(LmfaoEngine::with_config(morsels))),
+        ("morsel-dispatch".into(), Box::new(DispatchEngine::with_config(morsels))),
     ]
 }
 
@@ -166,7 +157,7 @@ fn retailer_serving_matches_cold_runs_at_every_pinned_epoch() {
     let rels = ds.relation_refs();
     // Integer-valued aggregates (counts; `rain` is a 0/1 flag): exact in
     // f64 under every merge order, so bit-identity is well-defined even
-    // through the sharded ring merges.
+    // through the root-morsel tree merges.
     let mut batch = AggBatch::new();
     batch.push(Aggregate::count());
     batch.push(Aggregate::sum("rain"));

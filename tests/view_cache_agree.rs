@@ -12,7 +12,7 @@
 //!   views, and the served results must equal a cold evaluation exactly.
 //!
 //! Every round cross-checks the cache-using engines (LMFAO with the
-//! default budget, dispatch, sharded LMFAO, factorized with its sort
+//! default budget, dispatch, root-morsel LMFAO, factorized with its sort
 //! cache) against the stateless flat baseline *and* a cache-bypassing
 //! LMFAO run, on dish, retailer, and random snowflakes.
 
@@ -26,22 +26,18 @@ mod common;
 /// All engines that must agree with the flat baseline, cache-warm or not.
 /// `lmfao-cold` bypasses the view cache entirely (`view_cache_bytes: 0`),
 /// so any divergence between it and `lmfao-cached` is a stale or
-/// mis-keyed cache entry.
+/// mis-keyed cache entry. `morsel-lmfao` caches the root under its morsel
+/// count, beside the sequential runs' one-chunk roots.
 fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
     let seq = EngineConfig::sequential();
     let cold = EngineConfig { view_cache_bytes: 0, ..seq };
+    let morsels = EngineConfig { threads: 3, morsel_rows: 2, ..Default::default() };
     vec![
         ("factorized", Box::new(FactorizedEngine::new())),
         ("lmfao-cached", Box::new(LmfaoEngine::with_config(seq))),
         ("lmfao-cold", Box::new(LmfaoEngine::with_config(cold))),
         ("dispatch", Box::new(DispatchEngine::with_config(seq))),
-        (
-            "sharded-lmfao",
-            Box::new(
-                ShardedEngine::with_shards(LmfaoEngine::with_config(seq), 3)
-                    .with_min_rows_per_shard(1),
-            ),
-        ),
+        ("morsel-lmfao", Box::new(LmfaoEngine::with_config(morsels))),
     ]
 }
 
@@ -53,7 +49,7 @@ fn assert_all_agree(db: &Database, q: &AggQuery, tag: &str) {
     }
 }
 
-/// The same random 3-relation snowflake family as `tests/sharded_agree.rs`.
+/// The same random 3-relation snowflake family as `tests/morsel_agree.rs`.
 fn snowflake(rows: &[(i64, i64, i8)], d1: &[(i64, i8)], d2: &[(i64, i8)]) -> Database {
     let mut db = Database::new();
     let mut f = Relation::new(Schema::of(&[

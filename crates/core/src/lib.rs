@@ -36,9 +36,9 @@
 //!   toggles reproduce the Figure 6 ablation. Root morsels are the one
 //!   fact-table partitioner: each dimension subtree is computed once and
 //!   the per-morsel root views merge as dense `ViewData`.
-//! * [`dispatch`] — adaptive backend choice per query from cheap catalog
-//!   statistics ([`DispatchEngine`]), with the [`EngineConfig::backend`]
-//!   override knob.
+//! * [`dispatch`] — one backend decision per query from the fact
+//!   cardinality ([`DispatchEngine`]: flat for tiny joins, LMFAO
+//!   otherwise).
 //! * [`serve`] + [`frontdoor`] — epoch-based concurrent serving
 //!   ([`ServingEngine`]: snapshot readers under a single transactional
 //!   writer) and the resilient admission layer over it ([`FrontDoor`]:
@@ -76,13 +76,13 @@ pub use backend::{all_engines, to_scan_query, Engine, FactorizedEngine, FlatEngi
 pub use batch::{AggBatch, Aggregate, FilterOp, Fn1};
 pub use batchgen::{covariance_batch, decision_node_batch, kmeans_batch, mutual_info_batch};
 pub use classical::{eval_agg, eval_agg_batch, AggResult, ScanQuery};
-pub use dispatch::{query_stats, DispatchEngine, QueryStats};
+pub use dispatch::{DispatchEngine, EngineChoice};
 pub use frontdoor::{Backpressure, BreakerState, FrontDoor, FrontDoorConfig};
 pub use group::{GroupIndex, KeySpace};
 pub use ir::{AggQuery, BatchResult};
 pub use maintain::{CustomMaint, MaintState, MaintainableEngine};
 pub use morsel::DEFAULT_MORSEL_ROWS;
-pub use parallel::{EngineChoice, EngineConfig};
+pub use parallel::EngineConfig;
 pub use serve::{EpochDb, ServingEngine, ServingStats};
 pub use stats::{stats_from_result, sufficient_stats, SufficientStats};
 pub use viewcache::{ViewCache, ViewCacheStats, DEFAULT_VIEW_CACHE_BYTES};

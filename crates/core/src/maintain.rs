@@ -8,9 +8,12 @@
 //! [`apply_delta`](MaintainableEngine::apply_delta) folds a
 //! [`Delta`](fdb_data::Delta) — per-relation insert/delete row batches
 //! with signed multiplicities — into that state and returns the updated
-//! [`BatchResult`]. The default implementations make **every** backend
-//! trivially maintainable (apply the delta to the maintained database
-//! copy, recompute via [`Engine::run`]); the interesting overrides are:
+//! [`BatchResult`].
+//!
+//! A state carries its own maintenance. Its maintained structure is a
+//! [`CustomMaint`] trait object that the engine's `prepare` built; a state
+//! without one recomputes every delta via [`Engine::run`], which makes
+//! **every** backend trivially maintainable. Two engines build one:
 //!
 //! * **[`LmfaoEngine`]** — true incremental maintenance over the layered
 //!   view tree. `prepare` materializes every node's views (serving and
@@ -28,32 +31,25 @@
 //!   invalidate-and-rescan. Non-additive cases (an insert outside the
 //!   prepare-time dense code ranges, an emptied relation) fall back to
 //!   full recomputation.
-//! * **[`DispatchEngine`]** — picks the backend once at `prepare` (the
-//!   same statistics-driven choice as `run`) and thereafter routes every
-//!   delta to the prepared state's IVM path.
-//! * `FivmEngine` (in `fdb-ivm`) — plugs in through [`CustomMaint`]: the
-//!   covariance-ring view tree maintains the whole triple in `O(delta)`.
+//! * `FivmEngine` (in `fdb-ivm`) — the covariance-ring view tree
+//!   maintains the whole triple in `O(delta)`.
+//!
+//! [`DispatchEngine`](crate::DispatchEngine) builds nothing of its own:
+//! its `prepare` returns the chosen backend's state.
 //!
 //! The contract, held by `tests/delta_agree.rs` on every engine:
 //! `apply_delta` over any insert/delete sequence agrees with a cold
 //! [`Engine::run`] over the equivalently mutated database.
 //!
-//! **Cost model of composition.** Every [`MaintState`] level owns its own
-//! maintained [`Database`] copy (cheap at prepare — relations are
-//! `Arc`-shared until mutated) and applies each delta to it, so
-//! [`DispatchEngine`] over its chosen backend pays
-//! [`Database::apply_delta`] twice per delta. For inserts that is
-//! `O(delta)` per level; deletes pay the multiset's `O(rows)`
-//! match-and-rebuild per level. This duplication is deliberate: each
-//! level's state is self-contained (its `database()` is always exactly
-//! what its engine evaluated), which is what lets any engine recompute
-//! from any state without a shared mutable catalog.
+//! **Cost model.** A [`MaintState`] owns one maintained [`Database`] copy
+//! (cheap at prepare — relations are `Arc`-shared until mutated) and
+//! applies each delta to it once: `O(delta)` for inserts, the multiset's
+//! `O(rows)` match-and-rebuild for deletes.
 
 use crate::backend::{Engine, FactorizedEngine, FlatEngine, LmfaoEngine};
-use crate::dispatch::DispatchEngine;
 use crate::exec::{compute_node, compute_node_over, CacheCtx};
 use crate::ir::{AggQuery, BatchResult};
-use crate::parallel::{merge_view_data, EngineChoice, EngineConfig};
+use crate::parallel::{merge_view_data, EngineConfig};
 use crate::plan::{Plan, ViewData};
 use crate::viewcache::ViewCache;
 use fdb_data::{fault, DataError, Database, Delta, Relation};
@@ -61,7 +57,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Prepared maintenance state: the maintained database copy, the query,
-/// and an engine-specific maintenance structure.
+/// and the engine's maintained structure, if it has one.
 ///
 /// The state owns its database — deltas mutate the copy, so the caller's
 /// database stays a snapshot of prepare time (hand the same deltas to
@@ -70,24 +66,14 @@ use std::sync::Arc;
 pub struct MaintState {
     db: Database,
     q: AggQuery,
-    kind: MaintKind,
+    /// `None`: every delta recomputes via [`Engine::run`].
+    maint: Option<Box<dyn CustomMaint>>,
 }
 
-enum MaintKind {
-    /// No maintained structure: every delta recomputes via `run`.
-    Recompute,
-    /// The LMFAO maintained view tree (boxed: it dwarfs the other
-    /// variants, and every `MaintState` would carry its size inline).
-    Lmfao(Box<LmfaoMaint>),
-    /// The backend `DispatchEngine` chose at prepare, with its state.
-    Dispatch { choice: EngineChoice, inner: Box<MaintState> },
-    /// An external engine's own maintained structure (e.g. F-IVM).
-    Custom(Box<dyn CustomMaint>),
-}
-
-/// The hook through which engines outside `fdb-core` (notably the F-IVM
-/// backend) plug their own maintained structure into [`MaintState`].
-/// `db` is the maintained database *after* the delta was applied.
+/// A maintained structure an engine's `prepare` builds into a
+/// [`MaintState`]: LMFAO's view tree here, F-IVM's covariance view tree
+/// in `fdb-ivm`. `db` is the maintained database *after* the delta was
+/// applied.
 pub trait CustomMaint: Send {
     /// Folds `delta` into the maintained structure and returns the
     /// updated batch result.
@@ -106,12 +92,12 @@ impl MaintState {
     /// A recompute-on-every-delta state — what the default
     /// [`MaintainableEngine`] implementation returns.
     pub fn recompute(db: Database, q: AggQuery) -> Self {
-        Self { db, q, kind: MaintKind::Recompute }
+        Self { db, q, maint: None }
     }
 
     /// A state around an engine-specific [`CustomMaint`] structure.
     pub fn custom(db: Database, q: AggQuery, maint: Box<dyn CustomMaint>) -> Self {
-        Self { db, q, kind: MaintKind::Custom(maint) }
+        Self { db, q, maint: Some(maint) }
     }
 
     /// The maintained database (reflects every applied delta).
@@ -138,19 +124,21 @@ impl MaintState {
     /// the incremental one; flaky-engine test doubles use it to fail only
     /// incremental maintenance while recompute keeps working.
     pub fn is_recompute(&self) -> bool {
-        matches!(self.kind, MaintKind::Recompute)
+        self.maint.is_none()
     }
 }
 
 /// An [`Engine`] that can maintain prepared query state under deltas.
 ///
-/// The default implementations recompute via [`Engine::run`], so every
-/// backend is trivially maintainable; overrides replace recomputation
-/// with genuine incremental maintenance while keeping the same contract.
+/// The provided methods maintain through the state's [`CustomMaint`]
+/// structure, or recompute via [`Engine::run`] when it has none, so an
+/// engine with genuine incremental maintenance overrides only
+/// [`prepare`](MaintainableEngine::prepare) to build that structure.
 ///
 /// **Transactionality.** [`apply_delta`](MaintainableEngine::apply_delta)
 /// is a provided validate-then-commit wrapper and must not be
-/// overridden; engines override
+/// overridden; an engine that intercepts maintenance (the test doubles
+/// that fail it on purpose) overrides
 /// [`apply_delta_kind`](MaintainableEngine::apply_delta_kind) instead.
 /// The wrapper applies the delta to the maintained database with an undo
 /// token, runs the engine-specific maintenance under panic containment,
@@ -196,7 +184,7 @@ pub trait MaintainableEngine: Engine {
                 // path's price, not the hot path's.
                 match self.prepare(&st.db, &st.q) {
                     Ok(fresh) => *st = fresh,
-                    Err(_) => st.kind = MaintKind::Recompute,
+                    Err(_) => st.maint = None,
                 }
                 Err(e)
             }
@@ -213,17 +201,17 @@ pub trait MaintainableEngine: Engine {
         st: &mut MaintState,
         delta: &Delta,
     ) -> Result<BatchResult, DataError> {
-        match &mut st.kind {
-            MaintKind::Custom(c) => c.apply_delta(&st.db, &st.q, delta),
-            _ => self.run(&st.db, &st.q),
+        match &mut st.maint {
+            Some(m) => m.apply_delta(&st.db, &st.q, delta),
+            None => self.run(&st.db, &st.q),
         }
     }
 
     /// The current maintained result, without applying a delta.
     fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
-        match &mut st.kind {
-            MaintKind::Custom(c) => c.eval(&st.db, &st.q),
-            _ => self.run(&st.db, &st.q),
+        match &mut st.maint {
+            Some(m) => m.eval(&st.db, &st.q),
+            None => self.run(&st.db, &st.q),
         }
     }
 }
@@ -279,6 +267,8 @@ impl MaintainableEngine for FactorizedEngine {}
 /// by `Arc`, the updated one refreshed per delta), per-node materialized
 /// views, and the metadata extraction needs.
 struct LmfaoMaint {
+    /// The toggles of the engine that prepared it.
+    cfg: EngineConfig,
     plan: Plan,
     /// Per aggregate: its `(view, slot)` at the root.
     agg_slots: Vec<(usize, usize)>,
@@ -373,7 +363,7 @@ fn lmfao_build(
     }
     let data = slots.into_iter().map(|s| s.expect("order covers every node")).collect();
     let sigs = plan.subtree_signatures(cfg.dense_limit);
-    Ok(LmfaoMaint { plan, agg_slots, groups, parents, ranges, data, sigs })
+    Ok(LmfaoMaint { cfg: *cfg, plan, agg_slots, groups, parents, ranges, data, sigs })
 }
 
 /// Reads the batch result out of the maintained root views.
@@ -399,13 +389,12 @@ fn lmfao_extract(m: &LmfaoMaint) -> BatchResult {
 /// The recompute fallback: rebuilds the whole maintained structure from
 /// the (already mutated) database, keeping the pinned root.
 fn lmfao_refresh(
-    cfg: &EngineConfig,
     db: &Database,
     q: &AggQuery,
     m: &mut LmfaoMaint,
 ) -> Result<BatchResult, DataError> {
     fault::check("maintain-view")?;
-    *m = lmfao_build(cfg, db, q, Some(m.plan.root))?;
+    *m = lmfao_build(&m.cfg, db, q, Some(m.plan.root))?;
     Ok(lmfao_extract(m))
 }
 
@@ -438,7 +427,6 @@ fn delta_fits(m: &LmfaoMaint, owner: usize, delta: &Delta) -> bool {
 /// The incremental path: delta views at the owner, propagated along the
 /// owner→root path. `db` already reflects the delta.
 fn lmfao_delta(
-    cfg: &EngineConfig,
     db: &Database,
     q: &AggQuery,
     m: &mut LmfaoMaint,
@@ -449,8 +437,9 @@ fn lmfao_delta(
     // post-delta content id, and path rescans must see current rows.
     m.plan.rels[owner] = db.get_shared(&delta.relation)?;
     if !delta_fits(m, owner, delta) {
-        return lmfao_refresh(cfg, db, q, m);
+        return lmfao_refresh(db, q, m);
     }
+    let cfg = &m.cfg;
     // Delta views of the owner: the inserted rows' contributions minus
     // the deleted rows', both probed against the unchanged child views.
     let schema = m.plan.rels[owner].schema().clone();
@@ -552,93 +541,32 @@ fn lmfao_delta(
     Ok(lmfao_extract(m))
 }
 
+impl CustomMaint for LmfaoMaint {
+    fn apply_delta(
+        &mut self,
+        db: &Database,
+        q: &AggQuery,
+        delta: &Delta,
+    ) -> Result<BatchResult, DataError> {
+        match q.relations.iter().position(|r| *r == delta.relation) {
+            // A delta outside the join leaves the result untouched.
+            None => Ok(lmfao_extract(self)),
+            Some(owner) => lmfao_delta(db, q, self, delta, owner),
+        }
+    }
+
+    fn eval(&mut self, _db: &Database, _q: &AggQuery) -> Result<BatchResult, DataError> {
+        Ok(lmfao_extract(self))
+    }
+}
+
 impl MaintainableEngine for LmfaoEngine {
+    /// Materializes the whole view tree; every later delta is folded in
+    /// along the owner→root path (see the module docs).
     fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
         q.validate(db)?;
         let maint = lmfao_build(&self.cfg, db, q, None)?;
-        Ok(MaintState { db: db.clone(), q: q.clone(), kind: MaintKind::Lmfao(Box::new(maint)) })
-    }
-
-    fn apply_delta_kind(
-        &self,
-        st: &mut MaintState,
-        delta: &Delta,
-    ) -> Result<BatchResult, DataError> {
-        let MaintKind::Lmfao(m) = &mut st.kind else {
-            // A state prepared by some other engine: recompute.
-            return self.run(&st.db, &st.q);
-        };
-        match st.q.relations.iter().position(|r| *r == delta.relation) {
-            // A delta outside the join leaves the result untouched.
-            None => Ok(lmfao_extract(m)),
-            Some(owner) => lmfao_delta(&self.cfg, &st.db, &st.q, m, delta, owner),
-        }
-    }
-
-    fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
-        match &mut st.kind {
-            MaintKind::Lmfao(m) => Ok(lmfao_extract(m)),
-            MaintKind::Custom(c) => c.eval(&st.db, &st.q),
-            _ => self.run(&st.db, &st.q),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch: choose at prepare, maintain through the chosen backend
-// ---------------------------------------------------------------------------
-
-impl DispatchEngine {
-    /// Runs `f` with the concrete backend `choice` resolves to.
-    fn with_backend<T>(
-        &self,
-        choice: EngineChoice,
-        f: impl FnOnce(&dyn MaintainableEngine) -> T,
-    ) -> T {
-        match choice {
-            EngineChoice::Flat => f(&FlatEngine),
-            EngineChoice::Factorized => f(&FactorizedEngine::new()),
-            EngineChoice::Lmfao | EngineChoice::Auto => f(&LmfaoEngine::with_config(self.cfg)),
-        }
-    }
-}
-
-impl MaintainableEngine for DispatchEngine {
-    fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
-        q.validate(db)?;
-        let choice = self.choose(db, q)?;
-        let inner = self.with_backend(choice, |e| e.prepare(db, q))?;
-        Ok(MaintState {
-            db: db.clone(),
-            q: q.clone(),
-            kind: MaintKind::Dispatch { choice, inner: Box::new(inner) },
-        })
-    }
-
-    fn apply_delta_kind(
-        &self,
-        st: &mut MaintState,
-        delta: &Delta,
-    ) -> Result<BatchResult, DataError> {
-        let MaintKind::Dispatch { choice, inner } = &mut st.kind else {
-            return self.run(&st.db, &st.q);
-        };
-        let choice = *choice;
-        // The inner `apply_delta` is itself the transactional wrapper, so
-        // the inner state (and its own database copy) rolls back on
-        // failure; the outer wrapper then restores this level's database.
-        self.with_backend(choice, |e| e.apply_delta(inner, delta))
-    }
-
-    fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
-        match &mut st.kind {
-            MaintKind::Dispatch { choice, inner } => {
-                let choice = *choice;
-                self.with_backend(choice, |e| e.eval(inner))
-            }
-            MaintKind::Custom(c) => c.eval(&st.db, &st.q),
-            _ => self.run(&st.db, &st.q),
-        }
+        Ok(MaintState::custom(db.clone(), q.clone(), Box::new(maint)))
     }
 }
 
@@ -646,6 +574,7 @@ impl MaintainableEngine for DispatchEngine {
 mod tests {
     use super::*;
     use crate::batch::{AggBatch, Aggregate, FilterOp};
+    use crate::dispatch::DispatchEngine;
     use fdb_data::{AttrType, Schema, Value};
 
     /// F(a, b, c, x) ⋈ D1(a, w, u) ⋈ D2(b, v) with categorical codes

@@ -17,23 +17,6 @@ use crate::plan::{Plan, ViewData};
 use fdb_data::{fault, DataError};
 use std::sync::Arc;
 
-/// Which backend executes a query — the override knob consulted by
-/// [`DispatchEngine`](crate::dispatch::DispatchEngine). `Auto` (the
-/// default) lets the dispatcher pick per query from catalog statistics;
-/// the other variants pin one backend regardless of the query shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Pick per query from cheap statistics (see `crate::dispatch`).
-    #[default]
-    Auto,
-    /// Always the flat (materialized-join) baseline.
-    Flat,
-    /// Always the fused factorized evaluator.
-    Factorized,
-    /// Always the layered LMFAO engine.
-    Lmfao,
-}
-
 /// Engine feature toggles (all on by default).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -51,10 +34,6 @@ pub struct EngineConfig {
     /// code-indexed storage instead of hash maps (see [`crate::group`]).
     /// `0` disables dense indexing entirely — the hash baseline.
     pub dense_limit: u64,
-    /// Backend override for [`DispatchEngine`](crate::dispatch::DispatchEngine):
-    /// `Auto` dispatches per query, anything else pins that backend.
-    /// Ignored by the concrete engines themselves.
-    pub backend: EngineChoice,
     /// Byte budget of the cross-batch [`ViewCache`](crate::viewcache::ViewCache):
     /// materialized per-node views are memoized across `Engine::run` calls
     /// and served whenever a later batch's subtree plan (and the subtree's
@@ -75,7 +54,6 @@ impl Default for EngineConfig {
             share: true,
             threads: default_threads(),
             dense_limit: crate::group::DEFAULT_DENSE_GROUPS,
-            backend: EngineChoice::Auto,
             view_cache_bytes: crate::viewcache::DEFAULT_VIEW_CACHE_BYTES,
             morsel_rows: crate::morsel::DEFAULT_MORSEL_ROWS,
         }
@@ -179,19 +157,11 @@ mod tests {
     /// a compile error here, so adding one has to be justified.
     #[test]
     fn default_config_enables_everything() {
-        let EngineConfig {
-            specialize,
-            share,
-            threads,
-            dense_limit,
-            backend,
-            view_cache_bytes,
-            morsel_rows,
-        } = EngineConfig::default();
+        let EngineConfig { specialize, share, threads, dense_limit, view_cache_bytes, morsel_rows } =
+            EngineConfig::default();
         assert!(specialize && share);
         assert!(threads >= 1);
         assert!(dense_limit > 0);
-        assert_eq!(backend, EngineChoice::Auto);
         assert!(view_cache_bytes > 0 && morsel_rows > 0);
         assert_eq!(EngineConfig::sequential().threads, 1);
     }

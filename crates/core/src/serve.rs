@@ -289,7 +289,9 @@ impl<E: MaintainableEngine> ServingEngine<E> {
     }
 
     /// True while the writer state is the degraded recompute-per-delta
-    /// one (see [`ServingEngine::degrade_to_recompute`]).
+    /// one (see [`ServingEngine::degrade_to_recompute`]). An engine
+    /// without an incremental path — flat, or dispatch on a join it
+    /// serves flat — recomputes from the start, so this reads true.
     pub fn is_degraded(&self) -> bool {
         self.writer_lock().is_recompute()
     }

@@ -7,7 +7,7 @@
 //! per-morsel partials and their tree merge (contributions that cancel
 //! only across morsels are dropped at extraction, after the merge).
 //! Likewise, `DispatchEngine` only ever picks among agreeing backends, so
-//! whatever it chooses must reproduce every pinned backend's answer.
+//! whatever it chooses must reproduce every backend's answer.
 
 use fdb::data::{AttrType, Database, Relation, Schema, Value};
 use fdb::lmfao::covariance_batch;
@@ -54,22 +54,21 @@ fn assert_morsels_agree(db: &Database, q: &AggQuery) -> BatchResult {
     flat
 }
 
-/// The dispatcher must agree with every backend it can choose from —
-/// whatever `Auto` picks, and each pinned override.
+/// The dispatcher's answer — flat or LMFAO, never the factorized
+/// comparator — must agree with every backend.
 fn assert_dispatch_agrees(db: &Database, q: &AggQuery) {
     let base = FlatEngine.run(db, q).unwrap();
-    let auto = DispatchEngine::new();
-    assert_results_match(&base, &auto.run(db, q).unwrap(), "dispatch auto", q.batch.len());
-    for choice in [EngineChoice::Flat, EngineChoice::Factorized, EngineChoice::Lmfao] {
-        let pinned =
-            DispatchEngine::with_config(EngineConfig { backend: choice, ..Default::default() });
-        assert_eq!(pinned.choose(db, q).unwrap(), choice, "override honoured");
-        assert_results_match(
-            &base,
-            &pinned.run(db, q).unwrap(),
-            &format!("dispatch {choice:?}"),
-            q.batch.len(),
-        );
+    let dispatch = DispatchEngine::new();
+    let choice = dispatch.choose(db, q).unwrap();
+    assert_ne!(choice, EngineChoice::Factorized, "the comparator is never chosen");
+    let backends: [(&str, &dyn Engine); 3] = [
+        ("dispatch", &dispatch),
+        ("factorized", &FactorizedEngine::new()),
+        ("lmfao", &LmfaoEngine::new()),
+    ];
+    for (name, engine) in backends {
+        let tag = format!("{name} (dispatch chose {choice:?})");
+        assert_results_match(&base, &engine.run(db, q).unwrap(), &tag, q.batch.len());
     }
 }
 
@@ -101,20 +100,22 @@ fn morsel_backends_agree_on_retailer() {
 
 #[test]
 fn morsels_compose_with_dispatch() {
-    // The two layers are orthogonal: every backend the dispatcher can pin
-    // (and its own choice) at every morsel configuration agrees with the
-    // default dispatcher.
+    // The two layers are orthogonal: the dispatcher hands its morsel
+    // configuration to the LMFAO it chooses, and at every configuration
+    // it agrees with that LMFAO and with the default dispatcher.
     let ds = fdb::datasets::retailer(fdb::datasets::RetailerConfig::tiny());
     let rels = ds.relation_refs();
     let q = AggQuery::new(&rels, covariance_batch(&["prize", "inventoryunits"], &["rain"]));
     let base = DispatchEngine::new().run(&ds.db, &q).unwrap();
     for (threads, rows) in MORSEL_CONFIGS {
-        for backend in
-            [EngineChoice::Auto, EngineChoice::Flat, EngineChoice::Factorized, EngineChoice::Lmfao]
-        {
-            let cfg = EngineConfig { backend, ..morsel_config(threads, rows) };
-            let got = DispatchEngine::with_config(cfg).run(&ds.db, &q).unwrap();
-            let tag = format!("dispatch {backend:?} t{threads} m{rows}");
+        let cfg = morsel_config(threads, rows);
+        let dispatch = DispatchEngine::with_config(cfg);
+        assert_eq!(dispatch.choose(&ds.db, &q).unwrap(), EngineChoice::Lmfao);
+        let engines: [(&str, &dyn Engine); 2] =
+            [("dispatch", &dispatch), ("lmfao", &LmfaoEngine::with_config(cfg))];
+        for (name, engine) in engines {
+            let got = engine.run(&ds.db, &q).unwrap();
+            let tag = format!("{name} t{threads} m{rows}");
             assert_results_match(&base, &got, &tag, q.batch.len());
         }
     }
@@ -182,7 +183,7 @@ proptest! {
         assert_morsels_agree(&db, &grouped);
         assert_dispatch_agrees(&db, &grouped);
 
-        // A filtered narrow batch (dispatch heuristic's factorized lane).
+        // A filtered narrow batch.
         let mut filtered = AggBatch::new();
         filtered.push(Aggregate::sum("x").filtered("u", FilterOp::Ge(threshold as f64)));
         filtered.push(Aggregate::count().by(&["w"]).filtered("x", FilterOp::Lt(threshold as f64)));

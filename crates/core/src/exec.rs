@@ -2,19 +2,25 @@
 //!
 //! Views are filled bottom-up over the join tree: all views at a node are
 //! computed in **one shared scan** of the node's relation, probing the
-//! children's already-computed views by join key. Typed column kernels
-//! (the "specialisation" toggle) replace per-tuple `Value` interpretation
-//! in the hot loop. The multi-threaded paths live in [`crate::parallel`];
-//! this module is the sequential core plus the [`run_batch`] entry point.
+//! children's already-computed views by join key. With the
+//! "specialisation" toggle on, every node — leaf, inner node or the
+//! fact-table root — runs one batch-at-a-time scan: per batch of rows it
+//! probes each child lookup once, computes slot values column-wise with
+//! typed kernels, and scatters them. Only rows whose child entry holds
+//! several groups take a per-row cross product. With the toggle off, a
+//! generic per-tuple loop interprets `Value`s instead (the Fig. 6
+//! ablation). The multi-threaded paths live in [`crate::parallel`]; this
+//! module is the sequential core plus the [`run_batch`] entry point.
 
 use crate::batch::{AggBatch, FilterOp};
-use crate::group::GroupIndex;
+use crate::group::{GroupIndex, KeySpace};
 use crate::ir::BatchResult;
 use crate::parallel::{self, EngineConfig};
-use crate::plan::{Plan, ViewData};
+use crate::plan::{NodePlan, Plan, ViewData, ViewPlan};
 use crate::viewcache::ViewCache;
-use fdb_data::{DataError, Database};
+use fdb_data::{DataError, Database, Relation};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The view-cache context of one `run_batch` call: the cache, the plan's
@@ -140,7 +146,7 @@ pub(crate) fn compute_node(
     node: usize,
     child_data: &[Option<Arc<Vec<ViewData>>>],
     cfg: &EngineConfig,
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
 ) -> Vec<ViewData> {
     compute_node_over(plan, node, &plan.rels[node], child_data, cfg, rows)
 }
@@ -153,234 +159,576 @@ pub(crate) fn compute_node(
 pub(crate) fn compute_node_over(
     plan: &Plan,
     node: usize,
-    rel: &fdb_data::Relation,
+    rel: &Relation,
     child_data: &[Option<Arc<Vec<ViewData>>>],
     cfg: &EngineConfig,
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
 ) -> Vec<ViewData> {
     let np = &plan.nodes[node];
-    let cols = Col::all(rel);
     let mut out: Vec<ViewData> =
         np.views.iter().map(|_| ViewData::new(np.key_space.as_ref())).collect();
-    let nchildren = np.children.len();
-    // Distinct (child position, child view) lookups across all views: each
-    // is fetched once per row and shared by every view needing it.
-    let mut lookup_specs: Vec<(usize, usize)> = Vec::new();
-    let view_lookups: Vec<Vec<usize>> = np
-        .views
-        .iter()
-        .map(|vp| {
-            vp.child_views
-                .iter()
-                .enumerate()
-                .map(|(cpos, &(cv, _))| {
-                    match lookup_specs.iter().position(|&ls| ls == (cpos, cv)) {
-                        Some(i) => i,
-                        None => {
-                            lookup_specs.push((cpos, cv));
-                            lookup_specs.len() - 1
-                        }
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    // Hash-free accumulators for scalar views (empty key, no group-bys) —
-    // the bulk of a covariance batch at the root.
-    let scalar_view: Vec<bool> =
-        np.views.iter().map(|vp| np.key_cols.is_empty() && vp.group_attrs.is_empty()).collect();
-    let mut scalar_payloads: Vec<Vec<f64>> = np
-        .views
-        .iter()
-        .enumerate()
-        .map(|(vi, vp)| if scalar_view[vi] { vec![0.0; vp.slots.len()] } else { vec![] })
-        .collect();
-    // Leaf nodes (no children to probe) take the batch-at-a-time kernel
-    // path: per-slot factor/filter passes run column-wise over morsel-sized
-    // row batches instead of row-at-a-time.
-    if cfg.specialize && nchildren == 0 {
-        compute_leaf_batched(np, &cols, cfg, rows, &mut out, &scalar_view, &mut scalar_payloads);
-        for (vi, payload) in scalar_payloads.into_iter().enumerate() {
-            if scalar_view[vi] {
-                out[vi].entry_mut(&[], &np.views[vi].spec).add(&[], &payload);
-            }
-        }
+    if rows.is_empty() {
+        // No row touches a view (a delete-only delta's empty insert side).
         return out;
     }
-    // Reused per-row buffers: with dense accumulators the hot loop does
-    // not allocate at all; the hash fallback allocates only on first
-    // insertion of a new key.
-    let mut child_keys: Vec<Vec<i64>> = vec![Vec::new(); nchildren];
-    let mut key_buf: Vec<i64> = Vec::new();
-    let mut gkey_buf: Vec<i64> = Vec::new();
-    let mut gvals_buf: Vec<i64> = Vec::new();
-    let mut single: Vec<&[f64]> = Vec::with_capacity(nchildren);
-    let mut fetched: Vec<Option<*const GroupIndex>> = vec![None; lookup_specs.len()];
-    // Cross-product scratch: per child, the flattened (keys, payloads) of
-    // its current group entries plus the key stride.
-    let mut cross_keys: Vec<Vec<i64>> = vec![Vec::new(); nchildren];
-    let mut cross_pays: Vec<Vec<&[f64]>> = vec![Vec::new(); nchildren];
-    let mut cross_arity: Vec<usize> = vec![0; nchildren];
-    let mut idx: Vec<usize> = vec![0; nchildren];
-    for row in rows {
-        // Generic (unspecialized) mode materializes the tuple first — the
-        // per-tuple interpretation overhead LMFAO's code generation removes.
-        let generic_row: Option<Vec<fdb_data::Value>> =
-            if cfg.specialize { None } else { Some(rel.row_vec(row)) };
-        let getf = |c: usize| -> f64 {
-            match &generic_row {
-                None => cols[c].get(row),
-                Some(r) => r[c].as_f64(),
-            }
-        };
-        let geti = |c: usize| -> i64 {
-            match &generic_row {
-                None => cols[c].get_int(row),
-                Some(r) => r[c].as_int(),
-            }
-        };
-        // Row keys, once per child and once to the parent.
-        for (cpos, buf) in child_keys.iter_mut().enumerate() {
-            buf.clear();
-            buf.extend(np.child_key_cols[cpos].iter().map(|&c| geti(c)));
-        }
-        key_buf.clear();
-        key_buf.extend(np.key_cols.iter().map(|&c| geti(c)));
-        // Fetch each distinct child view once. Raw pointers sidestep the
-        // borrow of `child_data` across the mutable `out` uses below; the
-        // maps live in `child_data`, which is untouched for this node.
-        for (li, &(cpos, cv)) in lookup_specs.iter().enumerate() {
-            let data = child_data[np.children[cpos]].as_ref().expect("child computed first");
-            fetched[li] = data[cv].get(child_keys[cpos].as_slice()).map(|m| m as *const GroupIndex);
-        }
-        'views: for (vi, vp) in np.views.iter().enumerate() {
-            debug_assert_eq!(vp.spec.slots, vp.slots.len(), "plan must be finalized");
-            // Resolve this view's child entries; a missing partner kills
-            // the row's contribution to this view.
-            let mut entries: Vec<&GroupIndex> = Vec::with_capacity(nchildren);
-            for &li in &view_lookups[vi] {
-                match fetched[li] {
-                    // SAFETY: points into `child_data`, alive and unaliased
-                    // by the writes to `out`/`scalar_payloads`.
-                    Some(p) => entries.push(unsafe { &*p }),
-                    None => continue 'views,
-                }
-            }
-            let group_len = vp.group_attrs.len();
-            // Fast path: every child contributes exactly one group entry
-            // (always true for scalar views) — no cross product needed.
-            if entries.iter().all(|m| m.len() == 1) {
-                gkey_buf.clear();
-                gkey_buf.resize(group_len, 0);
-                for &(pos, col) in &vp.local_groups {
-                    gkey_buf[pos] = geti(col);
-                }
-                single.clear();
-                for (cpos, m) in entries.iter().enumerate() {
-                    let pay = m.only(&mut gvals_buf).expect("len 1");
-                    for &(mypos, cpos_g) in &vp.child_views[cpos].1 {
-                        gkey_buf[mypos] = gvals_buf[cpos_g];
-                    }
-                    single.push(pay);
-                    debug_assert_eq!(single.len(), cpos + 1);
-                }
-                let payload: &mut [f64] = if scalar_view[vi] {
-                    &mut scalar_payloads[vi]
-                } else {
-                    out[vi].entry_mut(&key_buf, &vp.spec).payload_mut(&gkey_buf)
-                };
-                'slots: for (si, slot) in vp.slots.iter().enumerate() {
-                    for (c, op) in &slot.filter {
-                        if !filter_pass(op, getf(*c), geti(*c)) {
-                            continue 'slots;
-                        }
-                    }
-                    let mut v = 1.0;
-                    for &(c, f) in &slot.factors {
-                        v *= f.apply(getf(c));
-                    }
-                    for (cpos, _) in entries.iter().enumerate() {
-                        v *= single[cpos][slot.child_slots[cpos]];
-                    }
-                    payload[si] += v;
-                }
-                continue 'views;
-            }
-            // General path: cross product of child group entries, flattened
-            // into the reused scratch buffers (no per-row allocation).
-            for (cpos, m) in entries.iter().enumerate() {
-                cross_arity[cpos] = m.flatten_pairs(&mut cross_keys[cpos], &mut cross_pays[cpos]);
-                idx[cpos] = 0;
-            }
-            loop {
-                gkey_buf.clear();
-                gkey_buf.resize(group_len, 0);
-                for &(pos, col) in &vp.local_groups {
-                    gkey_buf[pos] = geti(col);
-                }
-                for cpos in 0..entries.len() {
-                    let (stride, i) = (cross_arity[cpos], idx[cpos]);
-                    let gvals = &cross_keys[cpos][i * stride..(i + 1) * stride];
-                    for &(mypos, cpos_g) in &vp.child_views[cpos].1 {
-                        gkey_buf[mypos] = gvals[cpos_g];
-                    }
-                }
-                // Accumulate all slots for this combination.
-                let payload: &mut [f64] = if scalar_view[vi] {
-                    &mut scalar_payloads[vi]
-                } else {
-                    out[vi].entry_mut(&key_buf, &vp.spec).payload_mut(&gkey_buf)
-                };
-                'slots: for (si, slot) in vp.slots.iter().enumerate() {
-                    for (c, op) in &slot.filter {
-                        if !filter_pass(op, getf(*c), geti(*c)) {
-                            continue 'slots;
-                        }
-                    }
-                    let mut v = 1.0;
-                    for &(c, f) in &slot.factors {
-                        v *= f.apply(getf(c));
-                    }
-                    for cpos in 0..entries.len() {
-                        v *= cross_pays[cpos][idx[cpos]][slot.child_slots[cpos]];
-                    }
-                    payload[si] += v;
-                }
-                // Advance the multi-index.
-                let mut d = 0;
-                loop {
-                    if d == nchildren {
-                        break;
-                    }
-                    idx[d] += 1;
-                    if idx[d] < cross_pays[d].len() {
-                        break;
-                    }
-                    idx[d] = 0;
-                    d += 1;
-                }
-                if d == nchildren {
-                    break;
-                }
-            }
-        }
-    }
-    // Fold the hash-free scalar accumulators into the view representation.
-    for (vi, payload) in scalar_payloads.into_iter().enumerate() {
-        if scalar_view[vi] {
-            out[vi].entry_mut(&[], &np.views[vi].spec).add(&[], &payload);
-        }
+    let scan = NodeScan::new(plan, node, rel, child_data);
+    if cfg.specialize {
+        scan.batched(plan, cfg, rows, &mut out);
+    } else {
+        scan.generic(rows, &mut out);
     }
     out
 }
 
-/// Per-worker scratch arena for the batched leaf scan: slot-value
-/// stripes, code buffers, and key buffers. Thread-local, so morsel workers
-/// stop allocating per (node, morsel) call after their first — the buffers
-/// warm up to the working sizes and stay.
+/// Probe outcome of one row against one child lookup.
+#[derive(Clone, Copy, PartialEq)]
+enum Probe {
+    /// Exactly one group: the batched case.
+    Hit,
+    /// No partner: the row contributes nothing to views using the lookup.
+    Miss,
+    /// Several groups: the cross-product fallback.
+    Multi,
+}
+
+/// The inputs of one node scan: the node plan, the scanned relation and
+/// the children's computed views (aligned with `NodePlan::children`),
+/// plus the distinct child lookups the views need.
+struct NodeScan<'a> {
+    np: &'a NodePlan,
+    rel: &'a Relation,
+    children: Vec<&'a [ViewData]>,
+    /// Distinct `(child position, child view)` lookups across all views:
+    /// each is probed once per row and shared by every view needing it.
+    lookups: Vec<(usize, usize)>,
+    /// Per view, per child position: the lookup it reads.
+    view_lookups: Vec<Vec<usize>>,
+}
+
+impl<'a> NodeScan<'a> {
+    fn new(
+        plan: &'a Plan,
+        node: usize,
+        rel: &'a Relation,
+        child_data: &'a [Option<Arc<Vec<ViewData>>>],
+    ) -> Self {
+        let np = &plan.nodes[node];
+        let children = np
+            .children
+            .iter()
+            .map(|&c| child_data[c].as_deref().expect("child computed first").as_slice())
+            .collect();
+        let mut lookups: Vec<(usize, usize)> = Vec::new();
+        let view_lookups = np
+            .views
+            .iter()
+            .map(|vp| {
+                vp.child_views
+                    .iter()
+                    .enumerate()
+                    .map(|(cpos, &(cv, _))| {
+                        lookups.iter().position(|&l| l == (cpos, cv)).unwrap_or_else(|| {
+                            lookups.push((cpos, cv));
+                            lookups.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        Self { np, rel, children, lookups, view_lookups }
+    }
+
+    /// The generic per-tuple loop — the `specialize = false` stage of
+    /// Fig. 6. Each row is materialized as `Value`s first (the per-tuple
+    /// interpretation LMFAO's code generation removes), each child view is
+    /// probed with a freshly built key, and each view takes the
+    /// cross-product body.
+    fn generic(&self, rows: Range<usize>, out: &mut [ViewData]) {
+        let np = self.np;
+        let mut cross = Cross::new(np.children.len());
+        let mut key: Vec<i64> = Vec::new();
+        let mut child_keys: Vec<Vec<i64>> = vec![Vec::new(); np.children.len()];
+        let mut fetched: Vec<Option<&'a GroupIndex>> = vec![None; self.lookups.len()];
+        let mut entries: Vec<&'a GroupIndex> = Vec::with_capacity(np.children.len());
+        for row in rows {
+            let tuple = self.rel.row_vec(row);
+            key.clear();
+            key.extend(np.key_cols.iter().map(|&c| tuple[c].as_int()));
+            for (buf, kcols) in child_keys.iter_mut().zip(&np.child_key_cols) {
+                buf.clear();
+                buf.extend(kcols.iter().map(|&c| tuple[c].as_int()));
+            }
+            for (f, &(cpos, cv)) in fetched.iter_mut().zip(&self.lookups) {
+                let child: &'a [ViewData] = self.children[cpos];
+                *f = child[cv].get(&child_keys[cpos]);
+            }
+            for (vi, vp) in np.views.iter().enumerate() {
+                entries.clear();
+                entries.extend(self.view_lookups[vi].iter().map_while(|&li| fetched[li]));
+                // A missing partner kills the row's contribution to the view.
+                if entries.len() == np.children.len() {
+                    let (getf, geti) = (|c: usize| tuple[c].as_f64(), |c: usize| tuple[c].as_int());
+                    cross.add_row(vp, &entries, &key, getf, geti, &mut out[vi]);
+                }
+            }
+        }
+    }
+
+    /// The batched scan — every node's `specialize = true` body (a leaf is
+    /// its zero-children case). For each batch of rows:
+    ///
+    /// 1. **Probe** ([`NodeScan::probe`]): each distinct child lookup once
+    ///    per row, into a column of entry references.
+    /// 2. **Slot values** ([`slot_values`]): each view's slot-major matrix
+    ///    from local factor columns and gathered child columns; filters,
+    ///    misses and multi-group rows *select* to `0.0`.
+    /// 3. **Scatter** ([`NodeScan::scatter`], see [`ScatterMode`]),
+    ///    skipping masked rows. Rows whose child entry holds several groups
+    ///    then take the cross-product body, for the views reading that
+    ///    entry only.
+    ///
+    /// Work per call is O(rows + views): nothing walks a child view's
+    /// entries.
+    fn batched(&self, plan: &Plan, cfg: &EngineConfig, rows: Range<usize>, out: &mut [ViewData]) {
+        let np = self.np;
+        let cols = Col::all(self.rel);
+        let bp = self.batch_plan(plan, &cols);
+        let batch_cap = batch_rows(cfg.morsel_rows);
+        let mut ents: Vec<Vec<Option<&'a GroupIndex>>> = vec![Vec::new(); self.lookups.len()];
+        let mut cross = Cross::new(np.children.len());
+        let mut entries: Vec<&'a GroupIndex> = Vec::with_capacity(np.children.len());
+        SCAN_SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            s.child_codes.resize_with(np.children.len(), Vec::new);
+            s.state.resize_with(self.lookups.len(), Vec::new);
+            s.gvals.resize_with(self.lookups.len(), Vec::new);
+            s.all_hit.resize(self.lookups.len(), true);
+            let mut lo = rows.start;
+            while lo < rows.end {
+                let hi = (lo + batch_cap).min(rows.end);
+                self.probe(&bp, &cols, lo..hi, s, &mut ents);
+                for (vi, vp) in np.views.iter().enumerate() {
+                    let lks = &self.view_lookups[vi];
+                    let masked = s.mask_rows(lks, hi - lo);
+                    slot_values(vp, &bp.views[vi], &cols, lo..hi, masked, s);
+                    self.scatter(vi, &bp.views[vi], &cols, lo..hi, masked, s, &mut out[vi]);
+                    for &r in &s.fallback {
+                        let row = lo + r;
+                        entries.clear();
+                        entries.extend(
+                            lks.iter()
+                                .map(|&li| ents[li][r].expect("fallback rows hit every child")),
+                        );
+                        s.key_buf.clear();
+                        s.key_buf.extend(np.key_cols.iter().map(|&c| cols[c].get_int(row)));
+                        let (getf, geti) =
+                            (|c: usize| cols[c].get(row), |c: usize| cols[c].get_int(row));
+                        cross.add_row(vp, &entries, &s.key_buf, getf, geti, &mut out[vi]);
+                    }
+                }
+                lo = hi;
+            }
+        });
+    }
+
+    /// The loop-invariant part of a batched scan: per-view scatter modes
+    /// and group sources, the deduplicated gathered child-slot columns,
+    /// and which children batch-encode.
+    fn batch_plan(&self, plan: &'a Plan, cols: &[Col<'_>]) -> BatchPlan<'a> {
+        let np = self.np;
+        let is_int = |c: usize| matches!(cols[c], Col::I(_));
+        let child_view = |li: usize| {
+            let (cpos, cv) = self.lookups[li];
+            &plan.nodes[np.children[cpos]].views[cv]
+        };
+        let mut gathers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.lookups.len()];
+        let mut col_of: Vec<Vec<usize>> = (0..self.lookups.len())
+            .map(|li| vec![usize::MAX; child_view(li).slots.len()])
+            .collect();
+        let mut ncols = 0;
+        let mut views = Vec::with_capacity(np.views.len());
+        for (vp, lks) in np.views.iter().zip(&self.view_lookups) {
+            debug_assert_eq!(vp.spec.slots, vp.slots.len(), "plan must be finalized");
+            let mut slot_cols = Vec::with_capacity(vp.slots.len() * lks.len());
+            for slot in &vp.slots {
+                for (&li, &cs) in lks.iter().zip(&slot.child_slots) {
+                    if col_of[li][cs] == usize::MAX {
+                        col_of[li][cs] = ncols;
+                        gathers[li].push((ncols, cs));
+                        ncols += 1;
+                    }
+                    slot_cols.push(col_of[li][cs]);
+                }
+            }
+            let mut gsrc = vec![GroupSrc::Local(usize::MAX); vp.group_attrs.len()];
+            for &(pos, col) in &vp.local_groups {
+                gsrc[pos] = GroupSrc::Local(col);
+            }
+            for (&li, (_, map)) in lks.iter().zip(&vp.child_views) {
+                for &(mypos, pos) in map {
+                    gsrc[mypos] = GroupSrc::Child { li, pos };
+                }
+            }
+            let float_group = gsrc.iter().any(|g| matches!(*g, GroupSrc::Local(c) if !is_int(c)));
+            let mode = if np.key_cols.is_empty() && vp.group_attrs.is_empty() {
+                ScatterMode::Sum
+            } else if vp.spec.space.is_none() || float_group {
+                ScatterMode::RowWise
+            } else if np.key_cols.is_empty() {
+                ScatterMode::SingleEntry
+            } else if np.key_space.is_some() && np.key_cols.iter().all(|&c| is_int(c)) {
+                ScatterMode::Keyed
+            } else {
+                ScatterMode::RowWise
+            };
+            views.push(ViewScan { mode, gsrc, slot_cols });
+        }
+        let child_space: Vec<Option<&'a KeySpace>> = np
+            .children
+            .iter()
+            .zip(&np.child_key_cols)
+            .map(|(&c, kcols)| {
+                plan.nodes[c].key_space.as_ref().filter(|_| kcols.iter().all(|&k| is_int(k)))
+            })
+            .collect();
+        let by_code = self
+            .lookups
+            .iter()
+            .map(|&(cpos, cv)| {
+                child_space[cpos].is_some()
+                    && self.children[cpos][cv].key_space() == child_space[cpos]
+            })
+            .collect();
+        let group_arity =
+            (0..self.lookups.len()).map(|li| child_view(li).group_attrs.len()).collect();
+        BatchPlan { views, gathers, ncols, child_space, by_code, group_arity }
+    }
+
+    /// Step 1 of a batch: probes every lookup once per row of `rows` into
+    /// `ents` and classifies each row ([`Probe`]).
+    /// Dense child key spaces go through one
+    /// [`crate::kernel::encode_codes`] pass per child plus the view's slot
+    /// table ([`ViewData::get_by_code`]); hash-backed ones take one `get`
+    /// per row. A hit's payload values land in the shared gathered columns
+    /// (each distinct `(lookup, child slot)` once) and its group key in the
+    /// lookup's group columns.
+    fn probe(
+        &self,
+        bp: &BatchPlan<'_>,
+        cols: &[Col<'_>],
+        rows: Range<usize>,
+        s: &mut ScanScratch,
+        ents: &mut [Vec<Option<&'a GroupIndex>>],
+    ) {
+        let np = self.np;
+        let n = rows.len();
+        for (cpos, space) in bp.child_space.iter().enumerate() {
+            if let Some(space) = space {
+                let kslices: Vec<&[i64]> =
+                    np.child_key_cols[cpos].iter().map(|&c| int_slice(cols, c, &rows)).collect();
+                crate::kernel::encode_codes(
+                    space,
+                    &kslices,
+                    n,
+                    &mut s.child_codes[cpos],
+                    &mut s.oob,
+                );
+            }
+        }
+        s.gathered.clear();
+        s.gathered.resize(bp.ncols * n, 0.0);
+        for (li, &(cpos, cv)) in self.lookups.iter().enumerate() {
+            let child: &'a [ViewData] = self.children[cpos];
+            let view = &child[cv];
+            let e = &mut ents[li];
+            e.clear();
+            if bp.by_code[li] {
+                e.extend(s.child_codes[cpos].iter().map(|&code| view.get_by_code(code)));
+            } else {
+                for row in rows.clone() {
+                    s.key_buf.clear();
+                    s.key_buf.extend(np.child_key_cols[cpos].iter().map(|&c| cols[c].get_int(row)));
+                    e.push(view.get(&s.key_buf));
+                }
+            }
+            let state = &mut s.state[li];
+            state.clear();
+            state.resize(n, Probe::Hit);
+            let gv = &mut s.gvals[li];
+            gv.clear();
+            gv.resize(bp.group_arity[li] * n, 0);
+            s.all_hit[li] = true;
+            for (r, m) in e.iter().enumerate() {
+                match m.and_then(|gi| gi.only(&mut s.gkey_buf)) {
+                    Some(pay) => {
+                        for &(k, cs) in &bp.gathers[li] {
+                            s.gathered[k * n + r] = pay[cs];
+                        }
+                        for (g, &x) in s.gkey_buf.iter().enumerate() {
+                            gv[g * n + r] = x;
+                        }
+                    }
+                    None => {
+                        let several = m.is_some_and(|gi| !gi.is_empty());
+                        state[r] = if several { Probe::Multi } else { Probe::Miss };
+                        s.all_hit[li] = false;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Step 3 of a batch: adds view `vi`'s slot matrix into its
+    /// accumulator, skipping the rows `masked` excludes.
+    #[allow(clippy::too_many_arguments)]
+    fn scatter(
+        &self,
+        vi: usize,
+        vs: &ViewScan,
+        cols: &[Col<'_>],
+        rows: Range<usize>,
+        masked: bool,
+        s: &mut ScanScratch,
+        out: &mut ViewData,
+    ) {
+        let (np, vp) = (self.np, &self.np.views[vi]);
+        let (lo, n) = (rows.start, rows.len());
+        let valid = masked.then_some(&s.valid[..]);
+        let keep = |r: usize| valid.is_none_or(|v| v[r]);
+        match vs.mode {
+            ScatterMode::Sum => {
+                let payload = out.entry_mut(&[], &vp.spec).payload_mut(&[]);
+                for (si, acc) in payload.iter_mut().enumerate() {
+                    *acc += crate::kernel::sum(&s.slot_vals[si * n..(si + 1) * n]);
+                }
+            }
+            ScatterMode::SingleEntry => {
+                if !(0..n).any(keep) {
+                    return;
+                }
+                let gspace = vp.spec.space.as_ref().expect("mode requires dense groups");
+                let gslices = group_slices(&vs.gsrc, cols, &s.gvals, &rows);
+                crate::kernel::encode_codes(gspace, &gslices, n, &mut s.gcodes, &mut s.oob);
+                mask_codes(&mut s.gcodes, valid);
+                out.entry_mut(&[], &vp.spec).add_codes_multi(&s.gcodes, &s.slot_vals);
+            }
+            ScatterMode::Keyed => {
+                let kspace = np.key_space.as_ref().expect("mode requires dense keys");
+                let kslices: Vec<&[i64]> =
+                    np.key_cols.iter().map(|&c| int_slice(cols, c, &rows)).collect();
+                crate::kernel::encode_codes(kspace, &kslices, n, &mut s.key_codes, &mut s.oob);
+                let gspace = vp.spec.space.as_ref().expect("mode requires dense groups");
+                let gslices = group_slices(&vs.gsrc, cols, &s.gvals, &rows);
+                crate::kernel::encode_codes(gspace, &gslices, n, &mut s.gcodes, &mut s.oob);
+                // Out-of-range codes cannot slip through: the slot table
+                // index and `add_payload_row` bound-check them.
+                for r in (0..n).filter(|&r| keep(r)) {
+                    out.entry_mut_by_code(s.key_codes[r], &vp.spec).add_payload_row(
+                        s.gcodes[r],
+                        &s.slot_vals,
+                        r,
+                        n,
+                    );
+                }
+            }
+            ScatterMode::RowWise => {
+                for r in (0..n).filter(|&r| keep(r)) {
+                    let row = lo + r;
+                    s.key_buf.clear();
+                    s.key_buf.extend(np.key_cols.iter().map(|&c| cols[c].get_int(row)));
+                    s.gkey_buf.clear();
+                    s.gkey_buf.extend(vs.gsrc.iter().map(|g| match *g {
+                        GroupSrc::Local(c) => cols[c].get_int(row),
+                        GroupSrc::Child { li, pos } => s.gvals[li][pos * n + r],
+                    }));
+                    let payload = out.entry_mut(&s.key_buf, &vp.spec).payload_mut(&s.gkey_buf);
+                    for (si, x) in payload.iter_mut().enumerate() {
+                        *x += s.slot_vals[si * n + r];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Step 2 of a batch: fills `s.slot_vals` (slot-major, `nslots × rows`)
+/// for one view. Each slot multiplies its local factor columns
+/// ([`crate::kernel::mul_by`]) and its gathered child columns, in the
+/// row-wise body's order; filters and — when `masked` — misses and
+/// multi-group rows then *select* to `0.0` ([`crate::kernel::mask_by`]),
+/// so such a row contributes exactly zero even when a factor is NaN or
+/// infinite.
+fn slot_values(
+    vp: &ViewPlan,
+    vs: &ViewScan,
+    cols: &[Col<'_>],
+    rows: Range<usize>,
+    masked: bool,
+    s: &mut ScanScratch,
+) {
+    let (lo, hi, n) = (rows.start, rows.end, rows.len());
+    s.slot_vals.clear();
+    s.slot_vals.resize(vp.slots.len() * n, 1.0);
+    let nchildren = vp.child_views.len();
+    for (si, (slot, sv)) in vp.slots.iter().zip(s.slot_vals.chunks_exact_mut(n)).enumerate() {
+        let mut child_cols = &vs.slot_cols[si * nchildren..(si + 1) * nchildren];
+        if slot.factors.is_empty() {
+            if let Some((&k, rest)) = child_cols.split_first() {
+                sv.copy_from_slice(&s.gathered[k * n..(k + 1) * n]);
+                child_cols = rest;
+            }
+        }
+        for &(c, f) in &slot.factors {
+            match &cols[c] {
+                Col::F(v) => crate::kernel::mul_by(sv, &v[lo..hi], |x| f.apply(x)),
+                Col::I(v) => crate::kernel::mul_by(sv, &v[lo..hi], |x| f.apply(x as f64)),
+            }
+        }
+        for &k in child_cols {
+            crate::kernel::mul_by(sv, &s.gathered[k * n..(k + 1) * n], |x| x);
+        }
+        for (c, op) in &slot.filter {
+            match &cols[*c] {
+                Col::F(v) => {
+                    crate::kernel::mask_by(sv, &v[lo..hi], |x| filter_pass(op, x, x as i64))
+                }
+                Col::I(v) => {
+                    crate::kernel::mask_by(sv, &v[lo..hi], |x| filter_pass(op, x as f64, x))
+                }
+            }
+        }
+        if masked {
+            crate::kernel::mask_by(sv, &s.valid, |keep| keep);
+        }
+    }
+}
+
+/// Rows per batch of the batched scan: `morsel_rows`, capped at the
+/// default morsel and trimmed to an odd multiple of 8. Slot-major stripes
+/// lie `n` values apart, so a power-of-two `n` maps every slot of a row to
+/// the same cache sets and the scatter thrashes them; an odd multiple of 8
+/// spreads the stripes over all sets.
+fn batch_rows(morsel_rows: usize) -> usize {
+    match morsel_rows.clamp(1, crate::morsel::DEFAULT_MORSEL_ROWS) {
+        c if c >= 24 => (c - 8) / 16 * 16 + 8,
+        c => c,
+    }
+}
+
+/// The loop-invariant plan of one batched scan ([`NodeScan::batch_plan`]).
+struct BatchPlan<'p> {
+    views: Vec<ViewScan>,
+    /// Per lookup: `(gathered column, child slot)` for every child slot
+    /// some view multiplies in.
+    gathers: Vec<Vec<(usize, usize)>>,
+    /// Number of gathered columns.
+    ncols: usize,
+    /// Per child: its key space, when its keys batch-encode here (dense
+    /// space, integer-backed key columns).
+    child_space: Vec<Option<&'p KeySpace>>,
+    /// Per lookup: resolve entries by code (dense view over `child_space`).
+    by_code: Vec<bool>,
+    /// Per lookup: the child view's group-key arity.
+    group_arity: Vec<usize>,
+}
+
+/// The integer column `c` over `rows`.
+fn int_slice<'c>(cols: &[Col<'c>], c: usize, rows: &Range<usize>) -> &'c [i64] {
+    match cols[c] {
+        Col::I(v) => &v[rows.clone()],
+        Col::F(_) => unreachable!("batched key and group columns are integer-backed"),
+    }
+}
+
+/// Where one position of a view's group key comes from.
+#[derive(Clone, Copy)]
+enum GroupSrc {
+    /// A column of the scanned relation.
+    Local(usize),
+    /// Position `pos` of the group key of lookup `li`'s single entry.
+    Child { li: usize, pos: usize },
+}
+
+/// How one view's batch scatters into its accumulators — decided once per
+/// scan (loop-invariant across batches).
+enum ScatterMode {
+    /// Scalar view (no join key, no group-by): one deterministic slice sum
+    /// per slot and batch, added to the view's single payload.
+    Sum,
+    /// No join key: one view entry, so the whole batch is one
+    /// [`crate::kernel::encode_codes`] pass plus one
+    /// [`GroupIndex::add_codes_multi`] scatter — the same two calls the
+    /// flat engine makes.
+    SingleEntry,
+    /// Dense join-key *and* group spaces: both key levels batch-encode and
+    /// each row resolves its entry by code ([`ViewData::entry_mut_by_code`])
+    /// then adds its whole payload row ([`GroupIndex::add_payload_row`]).
+    Keyed,
+    /// Per-row `entry_mut` + `payload_mut` — the fallback for hash-backed
+    /// views or float-typed key/group columns.
+    RowWise,
+}
+
+/// The loop-invariant scan plan of one view.
+struct ViewScan {
+    mode: ScatterMode,
+    /// Per group-key position: its source.
+    gsrc: Vec<GroupSrc>,
+    /// Per slot, per child position (slot-major): the gathered column it
+    /// multiplies in.
+    slot_cols: Vec<usize>,
+}
+
+/// The group-key columns of one batch, per position of `gsrc`.
+fn group_slices<'s>(
+    gsrc: &[GroupSrc],
+    cols: &[Col<'s>],
+    gvals: &'s [Vec<i64>],
+    rows: &Range<usize>,
+) -> Vec<&'s [i64]> {
+    let n = rows.len();
+    gsrc.iter()
+        .map(|g| match *g {
+            GroupSrc::Local(c) => int_slice(cols, c, rows),
+            GroupSrc::Child { li, pos } => &gvals[li][pos * n..(pos + 1) * n],
+        })
+        .collect()
+}
+
+/// Marks rows outside `valid` with [`crate::kernel::OOB_CODE`], so
+/// [`GroupIndex::add_codes_multi`] skips them without touching a group.
+/// Valid rows were encoded from columns their spaces were sized from, so
+/// none is out of range.
+fn mask_codes(codes: &mut [u64], valid: Option<&[bool]>) {
+    match valid {
+        Some(valid) => {
+            for (c, &v) in codes.iter_mut().zip(valid) {
+                if !v {
+                    *c = crate::kernel::OOB_CODE;
+                } else {
+                    debug_assert_ne!(*c, crate::kernel::OOB_CODE, "valid row out of range");
+                }
+            }
+        }
+        None => debug_assert!(codes.iter().all(|&c| c != crate::kernel::OOB_CODE)),
+    }
+}
+
+/// Per-worker scratch arena of the batched scan: gathered child columns,
+/// slot values, probe states, group columns and code buffers.
+/// Thread-local, so morsel workers stop allocating per (node, morsel) call
+/// after their first — the buffers warm up to the working sizes and stay.
 #[derive(Default)]
-struct LeafScratch {
+struct ScanScratch {
     slot_vals: Vec<f64>,
+    gathered: Vec<f64>,
+    child_codes: Vec<Vec<u64>>,
+    state: Vec<Vec<Probe>>,
+    gvals: Vec<Vec<i64>>,
+    /// Per lookup: every row of the batch hit a single group.
+    all_hit: Vec<bool>,
+    valid: Vec<bool>,
+    fallback: Vec<usize>,
     key_codes: Vec<u64>,
     gcodes: Vec<u64>,
     oob: Vec<u64>,
@@ -388,189 +736,126 @@ struct LeafScratch {
     gkey_buf: Vec<i64>,
 }
 
-thread_local! {
-    static LEAF_SCRATCH: std::cell::RefCell<LeafScratch> = std::cell::RefCell::default();
-}
-
-/// How one view's batch scatters into its accumulators — decided once per
-/// `compute_leaf_batched` call (loop-invariant across batches).
-enum ScatterMode {
-    /// Per-row `entry_mut` + `payload_mut` — the fallback for hash-backed
-    /// levels or float-typed key/group columns.
-    RowWise,
-    /// No join key: one view entry, so the whole batch is one
-    /// [`crate::kernel::encode_codes`] pass plus one
-    /// [`GroupIndex::add_codes_multi`] scatter — the same two calls the
-    /// flat engine makes. `gcols` is the group column per slot position.
-    SingleEntry { gcols: Vec<usize> },
-    /// Dense join-key *and* group spaces: both key levels batch-encode
-    /// ([`crate::kernel::encode_codes`]) and each row resolves its entry
-    /// by code ([`ViewData::entry_mut_by_code`]) then adds its whole
-    /// payload row ([`GroupIndex::add_payload_row`]) — one walk over the
-    /// batch for all slots, no key re-encoding, no `Vec<i64>` key builds.
-    Keyed { gcols: Vec<usize> },
-}
-
-/// The batch-at-a-time leaf scan: for each morsel-sized row batch, every
-/// view's per-slot values are computed as column-wise passes over the
-/// batch (factor products via [`crate::kernel::mul_by`], filters via
-/// [`crate::kernel::mask_by`] — a select to `0.0`, preserving the row-wise
-/// path's skip semantics exactly), then scattered into the accumulators
-/// with the multi-slot kernels (see [`ScatterMode`]), each adding cells in
-/// row order exactly like the row-wise fallback. Scalar views reduce each
-/// batch with one deterministic slice sum.
-fn compute_leaf_batched(
-    np: &crate::plan::NodePlan,
-    cols: &[Col<'_>],
-    cfg: &EngineConfig,
-    rows: std::ops::Range<usize>,
-    out: &mut [ViewData],
-    scalar_view: &[bool],
-    scalar_payloads: &mut [Vec<f64>],
-) {
-    let batch_cap = cfg.morsel_rows.clamp(1, crate::morsel::DEFAULT_MORSEL_ROWS);
-    // Scatter-path selection, once per view: a group level is batchable
-    // when its accumulator is dense and every group column is
-    // integer-backed; the key level additionally needs the node's dense
-    // key space (or no key at all).
-    let modes: Vec<ScatterMode> = np
-        .views
-        .iter()
-        .enumerate()
-        .map(|(vi, vp)| {
-            if scalar_view[vi] {
-                return ScatterMode::RowWise; // unused: scalar views sum, never scatter
-            }
-            if vp.spec.space.is_none() || vp.local_groups.len() != vp.group_attrs.len() {
-                return ScatterMode::RowWise;
-            }
-            let mut gcols = vec![usize::MAX; vp.group_attrs.len()];
-            for &(pos, col) in &vp.local_groups {
-                gcols[pos] = col;
-            }
-            if gcols.iter().any(|&c| c == usize::MAX || !matches!(cols[c], Col::I(_))) {
-                return ScatterMode::RowWise;
-            }
-            if np.key_cols.is_empty() {
-                return ScatterMode::SingleEntry { gcols };
-            }
-            let keys_dense =
-                np.key_space.is_some() && np.key_cols.iter().all(|&c| matches!(cols[c], Col::I(_)));
-            if keys_dense {
-                ScatterMode::Keyed { gcols }
-            } else {
-                ScatterMode::RowWise
-            }
-        })
-        .collect();
-    LEAF_SCRATCH.with(|cell| {
-        let s = &mut *cell.borrow_mut();
-        let int_slice = |c: usize, lo: usize, hi: usize| -> &[i64] {
-            match &cols[c] {
-                Col::I(v) => &v[lo..hi],
-                Col::F(_) => unreachable!("mode selection requires integer columns"),
-            }
-        };
-        let mut lo = rows.start;
-        while lo < rows.end {
-            let hi = (lo + batch_cap).min(rows.end);
-            let n = hi - lo;
-            for (vi, vp) in np.views.iter().enumerate() {
-                debug_assert_eq!(vp.spec.slots, vp.slots.len(), "plan must be finalized");
-                let nslots = vp.slots.len();
-                s.slot_vals.clear();
-                s.slot_vals.resize(nslots * n, 1.0);
-                for (si, slot) in vp.slots.iter().enumerate() {
-                    let sv = &mut s.slot_vals[si * n..(si + 1) * n];
-                    for &(c, f) in &slot.factors {
-                        match &cols[c] {
-                            Col::F(v) => crate::kernel::mul_by(sv, &v[lo..hi], |x| f.apply(x)),
-                            Col::I(v) => {
-                                crate::kernel::mul_by(sv, &v[lo..hi], |x| f.apply(x as f64))
-                            }
-                        }
-                    }
-                    for (c, op) in &slot.filter {
-                        match &cols[*c] {
-                            Col::F(v) => crate::kernel::mask_by(sv, &v[lo..hi], |x| {
-                                filter_pass(op, x, x as i64)
-                            }),
-                            Col::I(v) => crate::kernel::mask_by(sv, &v[lo..hi], |x| {
-                                filter_pass(op, x as f64, x)
-                            }),
-                        }
-                    }
-                }
-                if scalar_view[vi] {
-                    let payload = &mut scalar_payloads[vi];
-                    for si in 0..nslots {
-                        payload[si] += crate::kernel::sum(&s.slot_vals[si * n..(si + 1) * n]);
-                    }
-                    continue;
-                }
-                match &modes[vi] {
-                    ScatterMode::SingleEntry { gcols } => {
-                        let gslices: Vec<&[i64]> =
-                            gcols.iter().map(|&c| int_slice(c, lo, hi)).collect();
-                        let entry = out[vi].entry_mut(&[], &vp.spec);
-                        let gspace = vp.spec.space.as_ref().expect("mode requires dense groups");
-                        crate::kernel::encode_codes(gspace, &gslices, n, &mut s.gcodes, &mut s.oob);
-                        entry.add_codes_multi(&s.gcodes, &s.slot_vals);
-                    }
-                    ScatterMode::Keyed { gcols } => {
-                        let kslices: Vec<&[i64]> =
-                            np.key_cols.iter().map(|&c| int_slice(c, lo, hi)).collect();
-                        let kspace = np.key_space.as_ref().expect("mode requires dense keys");
-                        crate::kernel::encode_codes(
-                            kspace,
-                            &kslices,
-                            n,
-                            &mut s.key_codes,
-                            &mut s.oob,
-                        );
-                        let gslices: Vec<&[i64]> =
-                            gcols.iter().map(|&c| int_slice(c, lo, hi)).collect();
-                        let gspace = vp.spec.space.as_ref().expect("mode requires dense groups");
-                        crate::kernel::encode_codes(gspace, &gslices, n, &mut s.gcodes, &mut s.oob);
-                        // Both spaces are sized from the min/max of these
-                        // very columns, so no row can be out of range.
-                        debug_assert!(s.key_codes.iter().all(|&c| c != crate::kernel::OOB_CODE));
-                        debug_assert!(s.gcodes.iter().all(|&c| c != crate::kernel::OOB_CODE));
-                        for r in 0..n {
-                            out[vi].entry_mut_by_code(s.key_codes[r], &vp.spec).add_payload_row(
-                                s.gcodes[r],
-                                &s.slot_vals,
-                                r,
-                                n,
-                            );
-                        }
-                    }
-                    ScatterMode::RowWise => {
-                        // Keyed views scatter row-wise; the group entry is
-                        // touched for every row (even all-zero slots),
-                        // matching the row-wise path's touch-before-filter
-                        // order.
-                        for r in 0..n {
-                            let row = lo + r;
-                            s.key_buf.clear();
-                            s.key_buf.extend(np.key_cols.iter().map(|&c| cols[c].get_int(row)));
-                            s.gkey_buf.clear();
-                            s.gkey_buf.resize(vp.group_attrs.len(), 0);
-                            for &(pos, col) in &vp.local_groups {
-                                s.gkey_buf[pos] = cols[col].get_int(row);
-                            }
-                            let payload =
-                                out[vi].entry_mut(&s.key_buf, &vp.spec).payload_mut(&s.gkey_buf);
-                            for si in 0..nslots {
-                                payload[si] += s.slot_vals[si * n + r];
-                            }
-                        }
-                    }
-                }
-            }
-            lo = hi;
+impl ScanScratch {
+    /// Fills `valid` (every lookup of the view hit one group) and
+    /// `fallback` (no miss, some multi-group entry) for a view reading
+    /// `lookups`; returns whether any row of the `n`-row batch is masked.
+    fn mask_rows(&mut self, lookups: &[usize], n: usize) -> bool {
+        self.fallback.clear();
+        if lookups.iter().all(|&li| self.all_hit[li]) {
+            return false;
         }
-    });
+        self.valid.clear();
+        for r in 0..n {
+            let (mut hit, mut miss) = (true, false);
+            for &li in lookups {
+                let st = self.state[li][r];
+                hit &= st == Probe::Hit;
+                miss |= st == Probe::Miss;
+            }
+            self.valid.push(hit);
+            if !hit && !miss {
+                self.fallback.push(r);
+            }
+        }
+        true
+    }
+}
+
+thread_local! {
+    static SCAN_SCRATCH: std::cell::RefCell<ScanScratch> = std::cell::RefCell::default();
+}
+
+/// The cross-product body: one row's contribution to one view when child
+/// entries may hold several groups each — every combination of child
+/// groups adds its slot products under the combined group key. Reused
+/// buffers keep it allocation-free after warm-up.
+struct Cross<'a> {
+    /// Per child: the flattened group keys of its entry, at stride
+    /// `arity`.
+    keys: Vec<Vec<i64>>,
+    arity: Vec<usize>,
+    /// Per child: the payloads of its entry's groups.
+    pays: Vec<Vec<&'a [f64]>>,
+    /// The current combination.
+    idx: Vec<usize>,
+    gkey: Vec<i64>,
+}
+
+impl<'a> Cross<'a> {
+    fn new(nchildren: usize) -> Self {
+        Self {
+            keys: vec![Vec::new(); nchildren],
+            arity: vec![0; nchildren],
+            pays: vec![Vec::new(); nchildren],
+            idx: vec![0; nchildren],
+            gkey: Vec::new(),
+        }
+    }
+
+    /// Adds the row read through `getf`/`geti`, under join key `key`, to
+    /// view `out` (planned by `vp`), given its child entries.
+    fn add_row(
+        &mut self,
+        vp: &ViewPlan,
+        entries: &[&'a GroupIndex],
+        key: &[i64],
+        getf: impl Fn(usize) -> f64,
+        geti: impl Fn(usize) -> i64,
+        out: &mut ViewData,
+    ) {
+        let nchildren = entries.len();
+        for (cpos, m) in entries.iter().enumerate() {
+            self.arity[cpos] = m.flatten_pairs(&mut self.keys[cpos], &mut self.pays[cpos]);
+            self.idx[cpos] = 0;
+            if self.pays[cpos].is_empty() {
+                return;
+            }
+        }
+        loop {
+            self.gkey.clear();
+            self.gkey.resize(vp.group_attrs.len(), 0);
+            for &(pos, col) in &vp.local_groups {
+                self.gkey[pos] = geti(col);
+            }
+            for cpos in 0..nchildren {
+                let (stride, i) = (self.arity[cpos], self.idx[cpos]);
+                let gvals = &self.keys[cpos][i * stride..(i + 1) * stride];
+                for &(mypos, pos) in &vp.child_views[cpos].1 {
+                    self.gkey[mypos] = gvals[pos];
+                }
+            }
+            let payload = out.entry_mut(key, &vp.spec).payload_mut(&self.gkey);
+            'slots: for (si, slot) in vp.slots.iter().enumerate() {
+                for (c, op) in &slot.filter {
+                    if !filter_pass(op, getf(*c), geti(*c)) {
+                        continue 'slots;
+                    }
+                }
+                let mut v = 1.0;
+                for &(c, f) in &slot.factors {
+                    v *= f.apply(getf(c));
+                }
+                for cpos in 0..nchildren {
+                    v *= self.pays[cpos][self.idx[cpos]][slot.child_slots[cpos]];
+                }
+                payload[si] += v;
+            }
+            // Advance the multi-index; done once every digit wrapped.
+            let mut d = 0;
+            while d < nchildren {
+                self.idx[d] += 1;
+                if self.idx[d] < self.pays[d].len() {
+                    break;
+                }
+                self.idx[d] = 0;
+                d += 1;
+            }
+            if d == nchildren {
+                return;
+            }
+        }
+    }
 }
 
 /// Computes all nodes of `order` sequentially (bottom-up), offering each

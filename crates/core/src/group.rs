@@ -269,7 +269,7 @@ impl GroupIndex {
     /// [`crate::kernel::encode_codes`] over this accumulator's space)
     /// updating the whole contiguous payload row of each code. `vals` is
     /// **slot-major** (`vals[s * codes.len() + r]` is slot `s` of row `r`)
-    /// — exactly the stripe layout the batched leaf scan and the flat
+    /// — exactly the stripe layout the batched node scan and the flat
     /// engine build. Cells are added in row order and every in-range code
     /// is touched even when its values are zero, so results and
     /// first-touch order match a per-row [`GroupIndex::payload_mut`] loop

@@ -95,11 +95,23 @@ pub fn scale_slice(a: &mut [f64], factor: f64) {
     }
 }
 
-/// Sum of a contiguous slice, in slice order (deterministic).
+/// Sum of a contiguous slice in a fixed association: eight interleaved
+/// partial sums (lane `j` adds elements `j, j + 8, …` in order), combined
+/// pairwise, then the tail in order. Deterministic for a given slice; the
+/// independent lanes vectorize, where one running sum is bound by the
+/// latency of each add.
 #[inline]
 pub fn sum(xs: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for &x in xs {
+    let chunks = xs.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut l = [0.0f64; 8];
+    for c in chunks {
+        for (a, &x) in l.iter_mut().zip(c) {
+            *a += x;
+        }
+    }
+    let mut acc = ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]));
+    for &x in tail {
         acc += x;
     }
     acc
@@ -190,5 +202,7 @@ mod tests {
         assert_eq!(acc, [2.0, 3.0, 4.0]);
         assert_eq!(sum(&acc), 9.0);
         assert_eq!(sum(&[]), 0.0);
+        let xs: Vec<f64> = (1..=19).map(f64::from).collect();
+        assert_eq!(sum(&xs), 190.0, "lanes plus an in-order tail cover every element");
     }
 }

@@ -42,7 +42,8 @@ pub struct EngineConfig {
     pub view_cache_bytes: usize,
     /// Rows per morsel for domain parallelism: the root scan is cut into
     /// row ranges of roughly this many rows, pulled by workers from a
-    /// shared queue. Also the batch size of the batched leaf scan. See
+    /// shared queue. Also caps the batch of the batched node scan, which
+    /// every node (leaf, inner and root) runs with `specialize` on. See
     /// [`crate::morsel`].
     pub morsel_rows: usize,
 }

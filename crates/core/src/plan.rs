@@ -133,6 +133,33 @@ impl ViewData {
         }
     }
 
+    /// The join-key code space of a dense view (`None` for the hash
+    /// fallback) — how the batched scan decides whether a child view can
+    /// be probed by pre-encoded code ([`ViewData::get_by_code`]).
+    pub(crate) fn key_space(&self) -> Option<&KeySpace> {
+        match self {
+            ViewData::Dense { space, .. } => Some(space),
+            ViewData::Hash(_) => None,
+        }
+    }
+
+    /// [`ViewData::get`] by a join-key code pre-encoded against this
+    /// view's [`ViewData::key_space`] ([`crate::kernel::encode_codes`]);
+    /// [`crate::kernel::OOB_CODE`] misses, like an out-of-range key.
+    /// Dense views only; callers gate on `key_space`.
+    #[inline]
+    pub(crate) fn get_by_code(&self, code: u64) -> Option<&GroupIndex> {
+        match self {
+            ViewData::Dense { slot_of, entries, .. } => {
+                let slot = *slot_of.get(code as usize)?;
+                (slot != u32::MAX).then(|| &entries[slot as usize].1)
+            }
+            ViewData::Hash(_) => {
+                unreachable!("get_by_code requires a dense view; gate on key_space")
+            }
+        }
+    }
+
     /// The accumulator under join key `key`, created via `spec` if absent.
     #[inline]
     pub(crate) fn entry_mut(&mut self, key: &[i64], spec: &GroupSpec) -> &mut GroupIndex {
@@ -157,7 +184,7 @@ impl ViewData {
     }
 
     /// [`ViewData::entry_mut`] by pre-encoded join-key code — the batched
-    /// leaf scan encodes a whole morsel's keys in one column-wise pass
+    /// node scan encodes a whole batch's keys in one column-wise pass
     /// ([`crate::kernel::encode_codes`]) and resolves entries per row
     /// without re-encoding. Dense views only; callers gate on the node's
     /// `key_space` (the same spaces both sides encode against, so codes

@@ -1,12 +1,13 @@
 //! The batched kernels agree with the oracle.
 //!
-//! The batched columnar paths (`fdb_core::kernel`, the batched leaf scan,
+//! The batched columnar paths (`fdb_core::kernel`, the batched node scan,
 //! the trie pair collectors) must compute what `fdb_core::classical`
 //! computes over the materialized join: same represented key sets, same
 //! values up to float summation order. These tests pin that on random
 //! inputs, including the awkward shapes — empty batches, single-row
-//! morsels, the dense→hash fallback boundary at `dense_limit`, and
-//! mixed-radix codes near `u64` overflow.
+//! morsels, the dense→hash fallback boundary at `dense_limit`, mixed-radix
+//! codes near `u64` overflow, non-finite measures on rows a miss or a
+//! filter masks, and multi-group child entries inside a batch.
 
 use fdb::lmfao::{covariance_batch, kernel, KeySpace};
 use fdb::prelude::*;
@@ -45,7 +46,7 @@ fn snowflake(rows: &[(i64, i64, i8)], d1: &[(i64, i8)], d2: &[(i64, i8)]) -> Dat
     db
 }
 
-/// The query family the batched leaf path sees: grouped covariance with a
+/// The query family the batched node scan sees: grouped covariance with a
 /// filtered extra, over both categorical group keys.
 fn cov_query() -> AggQuery {
     let mut batch = covariance_batch(&["x", "u", "v"], &["c", "w"]);
@@ -54,7 +55,7 @@ fn cov_query() -> AggQuery {
     AggQuery::new(&["F", "D1", "D2"], batch)
 }
 
-/// Every engine on `q` against the oracle: LMFAO's batched leaf scan and
+/// Every engine on `q` against the oracle: LMFAO's batched node scan and
 /// its generic per-tuple loop (`specialize: false`, the Figure 6 stage),
 /// the factorized engine's batched intersection collectors, and flat's
 /// batched dense accumulation. Returns the oracle's result.
@@ -196,4 +197,219 @@ fn empty_fact_agrees_everywhere() {
     let q = cov_query();
     let base = assert_engines_match_oracle(&db, &q);
     assert_eq!(base.scalar(q.batch.len() - 1), 0.0, "count over empty join");
+}
+
+/// The LMFAO configurations the masked-row and cross-product tests sweep:
+/// the batched scan at `morsel_rows` 1, 7 and 4096 on one and three
+/// threads, plus the generic per-tuple loop, all with the view cache
+/// bypassed so every configuration computes.
+fn lmfao_sweep() -> Vec<(String, EngineConfig)> {
+    let base = EngineConfig { view_cache_bytes: 0, ..Default::default() };
+    let mut panel =
+        vec![("generic".to_string(), EngineConfig { specialize: false, threads: 1, ..base })];
+    for morsel_rows in [1, 7, 4096] {
+        for threads in [1, 3] {
+            panel.push((
+                format!("batched t{threads} m{morsel_rows}"),
+                EngineConfig { threads, morsel_rows, ..base },
+            ));
+        }
+    }
+    panel
+}
+
+fn assert_no_nan(res: &BatchResult, tag: &str) {
+    for i in 0..res.values.len() {
+        for (k, v) in res.grouped(i) {
+            assert!(!v.is_nan(), "{tag}: agg {i} key {k:?} is NaN");
+        }
+    }
+}
+
+/// Non-finite measures on rows that contribute nothing: fact rows whose
+/// foreign key dangles (out of the dimension's key range, or inside it but
+/// absent), and rows that every aggregate touching the measure filters
+/// out. The batched scan multiplies before it masks, and `NaN * 0.0` is
+/// NaN, so misses and failed filters must be *selects* to `0.0`. Every
+/// LMFAO configuration must equal the flat engine, and no result may be
+/// NaN.
+#[test]
+fn non_finite_measures_on_masked_rows_contribute_zero() {
+    let nonfinite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut f = Relation::new(Schema::of(&[
+        ("a", AttrType::Int),
+        ("b", AttrType::Int),
+        ("c", AttrType::Categorical),
+        ("x", AttrType::Double),
+        ("y", AttrType::Double),
+    ]));
+    for i in 0..300i64 {
+        let (a, b) = (i % 4, (i / 4) % 4);
+        let bad = nonfinite[(i / 5 % 3) as usize];
+        let (fa, fb, x, y) = match i % 5 {
+            0 => (a + 10, b, bad, 1.0), // inside D1's key range, absent
+            1 => (a, b + 10, bad, 1.0), // outside D2's key range
+            2 => (a, b, bad, -1.0),     // filtered out
+            _ => (a, b, (i % 7) as f64 / 3.0 - 1.1, 1.0),
+        };
+        f.push_row(&[
+            Value::Int(fa),
+            Value::Int(fb),
+            Value::Int((a + b) % 3),
+            Value::F64(x),
+            Value::F64(y),
+        ])
+        .unwrap();
+    }
+    let mut d1 = Relation::new(Schema::of(&[
+        ("a", AttrType::Int),
+        ("w", AttrType::Categorical),
+        ("u", AttrType::Double),
+    ]));
+    for a in 0..4 {
+        d1.push_row(&[Value::Int(a), Value::Int(a % 2), Value::F64(a as f64 / 3.0 + 0.5)]).unwrap();
+    }
+    // A dimension row no fact joins, carrying a NaN of its own.
+    d1.push_row(&[Value::Int(20), Value::Int(0), Value::F64(f64::NAN)]).unwrap();
+    let mut d2 = Relation::new(Schema::of(&[("b", AttrType::Int), ("v", AttrType::Double)]));
+    for b in 0..4 {
+        d2.push_row(&[Value::Int(b), Value::F64(b as f64 - 1.5)]).unwrap();
+    }
+    let mut db = Database::new();
+    db.add("F", f);
+    db.add("D1", d1);
+    db.add("D2", d2);
+    // Every aggregate over `x` carries the filter; the rest are unfiltered.
+    let kept = |agg: Aggregate| agg.filtered("y", FilterOp::Ge(0.0));
+    let mut batch = AggBatch::new();
+    batch.push(Aggregate::count());
+    batch.push(Aggregate::count().by(&["c"]));
+    batch.push(Aggregate::count().by(&["w"]));
+    batch.push(Aggregate::sum("u").by(&["c"]));
+    batch.push(Aggregate::sum_prod("u", "v"));
+    batch.push(kept(Aggregate::sum("x")));
+    batch.push(kept(Aggregate::sum("x").by(&["c"])));
+    batch.push(kept(Aggregate::sum("x").by(&["w"])));
+    batch.push(kept(Aggregate::sum_prod("x", "u").by(&["c", "w"])));
+    batch.push(kept(Aggregate::sum_prod("x", "x")));
+    batch.push(kept(Aggregate::sum_prod("x", "v").by(&["w"])));
+    let q = AggQuery::new(&["F", "D1", "D2"], batch);
+    let flat = FlatEngine.run(&db, &q).unwrap();
+    assert_no_nan(&flat, "flat");
+    assert!(flat.scalar(0) > 0.0, "some rows join");
+    for (tag, cfg) in lmfao_sweep() {
+        let got = LmfaoEngine::with_config(cfg).run(&db, &q).unwrap();
+        assert_no_nan(&got, &tag);
+        common::assert_results_match(&flat, &got, &tag, q.batch.len(), 1e-9);
+    }
+}
+
+/// A snowflake whose dimension repeats a join key with distinct group
+/// values: F(a, b, x) ⋈ D1(a, k, w, u) ⋈ D2(k, g, z) ⋈ D3(b, h), where
+/// every even `k` of D2 holds two `g` groups. A grouped-by-`g` view entry
+/// then has more than one group — at the inner node D1 and again at the
+/// root — next to single-group keys in the same batch, so those rows take
+/// the cross-product fallback for exactly the views that read the entry.
+fn multi_group_snowflake() -> Database {
+    let mut f = Relation::new(Schema::of(&[
+        ("a", AttrType::Int),
+        ("b", AttrType::Int),
+        ("x", AttrType::Double),
+    ]));
+    for i in 0..200i64 {
+        f.push_row(&[Value::Int(i % 8), Value::Int(i % 5), Value::F64((i % 11) as f64 - 5.0)])
+            .unwrap();
+    }
+    let mut d1 = Relation::new(Schema::of(&[
+        ("a", AttrType::Int),
+        ("k", AttrType::Int),
+        ("w", AttrType::Categorical),
+        ("u", AttrType::Double),
+    ]));
+    for a in 0..8 {
+        d1.push_row(&[
+            Value::Int(a),
+            Value::Int(a % 6),
+            Value::Int(a % 3),
+            Value::F64(a as f64 + 1.0),
+        ])
+        .unwrap();
+    }
+    let mut d2 = Relation::new(Schema::of(&[
+        ("k", AttrType::Int),
+        ("g", AttrType::Categorical),
+        ("z", AttrType::Double),
+    ]));
+    for k in 0..6 {
+        d2.push_row(&[Value::Int(k), Value::Int(k % 4), Value::F64(k as f64 - 2.0)]).unwrap();
+        if k % 2 == 0 {
+            d2.push_row(&[Value::Int(k), Value::Int(k % 4 + 1), Value::F64(3.0)]).unwrap();
+        }
+    }
+    let mut d3 = Relation::new(Schema::of(&[("b", AttrType::Int), ("h", AttrType::Categorical)]));
+    for b in 0..5 {
+        d3.push_row(&[Value::Int(b), Value::Int(b % 2)]).unwrap();
+    }
+    let mut db = Database::new();
+    db.add("F", f);
+    db.add("D1", d1);
+    db.add("D2", d2);
+    db.add("D3", d3);
+    db
+}
+
+fn multi_group_query() -> AggQuery {
+    let mut batch = covariance_batch(&["x", "u", "z"], &["g", "h", "w"]);
+    batch.push(Aggregate::count().by(&["g", "h", "w"]));
+    batch.push(Aggregate::sum("x").by(&["g"]).filtered("z", FilterOp::Lt(2.5)));
+    AggQuery::new(&["F", "D1", "D2", "D3"], batch)
+}
+
+/// Multi-group child entries inside a batch, grouped and scalar views
+/// alike, across morsel sizes and thread counts: every LMFAO
+/// configuration equals the flat engine.
+#[test]
+fn multi_group_entries_take_the_cross_product_inside_a_batch() {
+    let db = multi_group_snowflake();
+    let q = multi_group_query();
+    let flat = FlatEngine.run(&db, &q).unwrap();
+    for (tag, cfg) in lmfao_sweep() {
+        let got = LmfaoEngine::with_config(cfg).run(&db, &q).unwrap();
+        common::assert_results_match(&flat, &got, &tag, q.batch.len(), 1e-9);
+    }
+}
+
+/// The same shape through delta maintenance: a 1-row and then a 64-row
+/// fact insert (both inside the prepared key ranges, so the incremental
+/// path runs) probe multi-group entries, and the maintained result equals
+/// a cold flat run over the mutated database.
+#[test]
+fn multi_group_entries_under_fact_inserts_match_cold_flat() {
+    let db = multi_group_snowflake();
+    let q = multi_group_query();
+    let fact_row = |i: i64| {
+        vec![Value::Int(i % 8), Value::Int((i * 3) % 5), Value::F64((i % 7) as f64 / 3.0 + 0.1)]
+    };
+    let one = Delta::insert("F", fact_row(2));
+    let mut many = Delta::new("F");
+    for i in 0..64 {
+        many.push_insert(fact_row(i));
+    }
+    for (tag, cfg) in lmfao_sweep() {
+        let engine = LmfaoEngine::with_config(cfg);
+        let mut st = engine.prepare(&db, &q).unwrap();
+        let mut shadow = db.clone();
+        for (step, d) in [&one, &many].into_iter().enumerate() {
+            shadow.apply_delta(d).unwrap();
+            let cold = FlatEngine.run(&shadow, &q).unwrap();
+            let got = engine.apply_delta(&mut st, d).unwrap();
+            common::assert_results_match(
+                &cold,
+                &got,
+                &format!("{tag} delta {step}"),
+                q.batch.len(),
+                1e-9,
+            );
+        }
+    }
 }

@@ -12,6 +12,7 @@ use fdb::datasets::{zipf_snowflake, ZipfConfig};
 use fdb::lmfao::covariance_batch;
 use fdb::lmfao::morsel::morsel_count;
 use fdb::prelude::*;
+use proptest::prelude::*;
 
 mod common;
 
@@ -139,6 +140,76 @@ fn morsel_partials_merge_bit_identically_across_thread_counts() {
         for rep in 0..2 {
             let got = LmfaoEngine::with_config(cfg(threads)).run(&ds.db, &q).unwrap();
             assert_bits_identical(&first, &got, &format!("t{threads} rep {rep}"));
+        }
+    }
+}
+
+/// A star whose root has children, with non-dyadic measures (`k/3 + 0.1`
+/// on the fact and both dimensions), so every reordering of a sum can move
+/// bits: F(k1, k2, x) ⋈ D1(k1, y, g) ⋈ D2(k2, v, h).
+fn non_dyadic_star(rows: &[(i64, i64, i8)]) -> Database {
+    let third = |k: i64| k as f64 / 3.0 + 0.1;
+    let mut f = Relation::new(Schema::of(&[
+        ("k1", AttrType::Int),
+        ("k2", AttrType::Int),
+        ("x", AttrType::Double),
+    ]));
+    for &(k1, k2, m) in rows {
+        f.push_row(&[Value::Int(k1), Value::Int(k2), Value::F64(third(m.into()))]).unwrap();
+    }
+    let mut d1 = Relation::new(Schema::of(&[
+        ("k1", AttrType::Int),
+        ("y", AttrType::Double),
+        ("g", AttrType::Categorical),
+    ]));
+    for k in 0..6 {
+        d1.push_row(&[Value::Int(k), Value::F64(third(k - 2)), Value::Int(k % 3)]).unwrap();
+    }
+    let mut d2 = Relation::new(Schema::of(&[
+        ("k2", AttrType::Int),
+        ("v", AttrType::Double),
+        ("h", AttrType::Categorical),
+    ]));
+    for k in 0..5 {
+        d2.push_row(&[Value::Int(k), Value::F64(third(7 - k)), Value::Int(k % 2)]).unwrap();
+    }
+    let mut db = Database::new();
+    db.add("F", f);
+    db.add("D1", d1);
+    db.add("D2", d2);
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The float contract on real-valued measures at a root with children:
+    /// the batched scan, the generic per-tuple loop (`specialize: false`)
+    /// and the classical oracle agree within 1e-9 relative, and threads 2,
+    /// 3 and 4 sharing one morsel plan agree bit for bit.
+    #[test]
+    fn non_dyadic_root_scan_matches_generic_and_oracle(
+        rows in proptest::collection::vec((0i64..6, 0i64..5, -30i8..30), 300..700),
+    ) {
+        let db = non_dyadic_star(&rows);
+        let q = AggQuery::new(
+            &["F", "D1", "D2"],
+            covariance_batch(&["x", "y", "v"], &["g", "h"]),
+        );
+        let oracle = common::oracle(&db, &q);
+        let cfg = |threads| EngineConfig { view_cache_bytes: 0, ..morsel_config(threads, 64) };
+        let generic = EngineConfig { specialize: false, ..cfg(1) };
+        let generic = LmfaoEngine::with_config(generic).run(&db, &q).unwrap();
+        common::assert_results_match(&oracle, &generic, "generic", q.batch.len(), 1e-9);
+        let batched = LmfaoEngine::with_config(cfg(1)).run(&db, &q).unwrap();
+        common::assert_results_match(&oracle, &batched, "batched", q.batch.len(), 1e-9);
+        let first = LmfaoEngine::with_config(cfg(2)).run(&db, &q).unwrap();
+        common::assert_results_match(&oracle, &first, "batched t2", q.batch.len(), 1e-9);
+        let plan = morsel_count(rows.len(), 64, 2);
+        for threads in [3usize, 4] {
+            prop_assert_eq!(morsel_count(rows.len(), 64, threads), plan);
+            let got = LmfaoEngine::with_config(cfg(threads)).run(&db, &q).unwrap();
+            assert_bits_identical(&first, &got, &format!("t{threads}"));
         }
     }
 }

@@ -33,11 +33,13 @@
 //!   half-opens and probes recovery ([`ServingEngine::promote`]); a
 //!   successful probe plus one incremental commit closes it again.
 //!
-//! Throughout all of this, readers keep serving the last *published*
-//! epoch — bit-identical to a cold recompute at that epoch, because
-//! nothing here weakens the serving core's publish-only-on-success
-//! invariant: the front door only decides *when* and *how often* the
-//! writer runs, never what it publishes.
+//! Throughout all of this, readers keep serving the answer the writer
+//! maintained for the last *published* epoch — equal to a cold recompute
+//! at that epoch (bit for bit on integer and dyadic measures, within the
+//! float bound of DESIGN.md §2.7 otherwise), because nothing here weakens
+//! the serving core's publish-only-on-success invariant: the front door
+//! only decides *when* and *how often* the writer runs, never what it
+//! publishes.
 //!
 //! Fault sites (live with the `fault-injection` feature): `queue-admit`
 //! (a submit refused at admission), `writer-drain` (a batch drain failing
@@ -318,9 +320,9 @@ impl<E: MaintainableEngine + Send + Sync + 'static> FrontDoor<E> {
         &self.serving
     }
 
-    /// Delegates to [`ServingEngine::query`]: evaluates against the last
-    /// *published* epoch — unaffected by queued, retrying, or failed
-    /// batches.
+    /// Delegates to [`ServingEngine::query`]: the maintained answer at
+    /// the last *published* epoch, with no engine run — unaffected by
+    /// queued, retrying, or failed batches.
     pub fn query(&self) -> Result<(u64, BatchResult), DataError> {
         self.serving.query()
     }

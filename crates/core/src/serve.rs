@@ -11,10 +11,11 @@
 //!
 //! [`ServingEngine`] is that front door:
 //!
-//! * **Readers never block.** [`ServingEngine::query`] pins the currently
-//!   published [`EpochDb`] — an immutable [`Database::snapshot`], O(#relations)
-//!   to take because relations are `Arc`-shared copy-on-write — and
-//!   evaluates against it with `&self`. The published pointer lives in an
+//! * **Readers never block and never recompute.** [`ServingEngine::query`]
+//!   pins the currently published [`EpochDb`] — an immutable
+//!   [`Database::snapshot`] paired with the answer the writer maintained
+//!   for exactly that epoch — and returns a copy of that answer. No engine
+//!   runs on the read path. The published pointer lives in an
 //!   `RwLock<Arc<EpochDb>>` whose write lock is held only for the pointer
 //!   exchange (an `ArcSwap` without the dependency), so a reader's pin is
 //!   two refcount bumps, never a wait on maintenance.
@@ -23,22 +24,24 @@
 //!   mutex: validation, commit, incremental view maintenance, and
 //!   rollback-on-failure are exactly the guarantees of
 //!   [`MaintainableEngine::apply_delta`].
-//! * **Publication is ordered after maintenance.** The new epoch becomes
-//!   visible to readers only after the engine's maintenance (including
-//!   its [`ViewCache`](crate::ViewCache) re-admissions under post-delta
+//! * **Publication is ordered after maintenance.** The new epoch's
+//!   database and its maintained result become visible to readers in one
+//!   pointer swap, only after the engine's maintenance (including its
+//!   [`ViewCache`](crate::ViewCache) re-admissions under post-delta
 //!   content ids) succeeded; a failed delta rolls back, invalidates the
 //!   rolled-back ids, and **never publishes** — so no reader can ever pin
 //!   an epoch whose caches carry state from a failed or half-applied
-//!   delta.
+//!   delta, nor a result from a different epoch than its database.
 //!
 //! **Why stale cache hits are impossible across epochs.** Both global
 //! caches key on [`fdb_data::Relation::data_id`], a nonce every mutation
 //! refreshes and rollback restores-without-reuse. A reader pinned at
 //! epoch *e* holds `Arc`s of exactly the relations (and therefore ids) of
 //! *e*; views admitted by the writer for epoch *e+1* are keyed by ids
-//! that exist in no relation of *e*. The striped caches (see
-//! [`fdb_data::SortCache`]) make those concurrent hits scale; the id
-//! discipline makes them *correct*.
+//! that exist in no relation of *e*. Ad-hoc reads
+//! ([`ServingEngine::query_adhoc`]) run an engine on the pin and hit
+//! those caches; the striped caches (see [`fdb_data::SortCache`]) make
+//! concurrent hits scale and the id discipline makes them *correct*.
 
 use crate::ir::{AggQuery, BatchResult};
 use crate::maintain::{MaintState, MaintainableEngine};
@@ -46,19 +49,22 @@ use fdb_data::{DataError, Database, Delta};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-/// An immutable, consistent database snapshot pinned at one epoch.
+/// One published epoch: an immutable database snapshot and the served
+/// query's maintained answer at that snapshot, swapped in together.
 ///
-/// Cheap to produce ([`Database::snapshot`] clones an `Arc` per relation)
-/// and safe to read from any number of threads; the writer's next epoch
-/// copy-on-writes mutated relations, never this one.
+/// Cheap to produce ([`Database::snapshot`] clones an `Arc` per relation,
+/// and the answer is the writer's own `Arc`, not a copy) and safe to read
+/// from any number of threads; the writer's next epoch copy-on-writes
+/// mutated relations, never this one.
 #[derive(Clone)]
 pub struct EpochDb {
     db: Database,
+    result: Arc<BatchResult>,
 }
 
 impl EpochDb {
-    fn new(db: Database) -> Self {
-        Self { db }
+    fn new(db: Database, result: Arc<BatchResult>) -> Self {
+        Self { db, result }
     }
 
     /// The epoch this snapshot pins ([`Database::epoch`] at snapshot time).
@@ -79,7 +85,8 @@ impl EpochDb {
 /// and stay zero when the engine is driven directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingStats {
-    /// Queries evaluated against pinned snapshots.
+    /// Reads served from pinned snapshots (maintained answers and ad-hoc
+    /// runs alike).
     pub queries: u64,
     /// Deltas committed and published.
     pub deltas_applied: u64,
@@ -165,10 +172,12 @@ pub struct ServingEngine<E: MaintainableEngine> {
 
 impl<E: MaintainableEngine> ServingEngine<E> {
     /// Prepares `q` over `db` through `engine` (paying the one-shot
-    /// evaluation cost once) and publishes the initial epoch.
+    /// evaluation cost once), evaluates the first answer from the prepared
+    /// state, and publishes both as the initial epoch.
     pub fn new(engine: E, db: &Database, q: &AggQuery) -> Result<Self, DataError> {
-        let st = engine.prepare(db, q)?;
-        let first = Arc::new(EpochDb::new(st.database().snapshot()));
+        let mut st = engine.prepare(db, q)?;
+        let result = Arc::new(engine.eval(&mut st)?);
+        let first = Arc::new(EpochDb::new(st.database().snapshot(), result));
         Ok(Self {
             engine,
             q: q.clone(),
@@ -203,26 +212,28 @@ impl<E: MaintainableEngine> ServingEngine<E> {
         self.read_published().epoch()
     }
 
-    /// Evaluates the served query against the currently published
-    /// snapshot and returns `(epoch, result)` — the epoch identifies
-    /// exactly which database state the result reflects, so callers can
-    /// correlate answers from concurrent readers.
+    /// The served query's answer at the currently published epoch, as
+    /// `(epoch, result)` — the epoch identifies exactly which database
+    /// state the result reflects, so callers can correlate answers from
+    /// concurrent readers. The answer is the one the writer maintained
+    /// for that epoch; no engine runs.
     pub fn query(&self) -> Result<(u64, BatchResult), DataError> {
         let snap = self.snapshot();
         Ok((snap.epoch(), self.query_at(&snap)?))
     }
 
-    /// Evaluates the served query against an explicitly pinned snapshot —
-    /// the stable-read primitive: a session that must see one consistent
-    /// epoch across several queries pins once and passes it here.
+    /// The served query's maintained answer at an explicitly pinned
+    /// snapshot — the stable-read primitive: a session that must see one
+    /// consistent epoch across several reads pins once and passes it here.
+    /// A copy of the published answer; no engine runs.
     pub fn query_at(&self, snap: &EpochDb) -> Result<BatchResult, DataError> {
-        let r = self.engine.run(snap.database(), &self.q)?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        Ok(r)
+        Ok((*snap.result).clone())
     }
 
     /// Evaluates an ad-hoc query (not the prepared one) against a pinned
-    /// snapshot, through the same engine.
+    /// snapshot by running the engine on it: an ad-hoc query has no
+    /// maintained answer.
     pub fn query_adhoc(&self, snap: &EpochDb, q: &AggQuery) -> Result<BatchResult, DataError> {
         let r = self.engine.run(snap.database(), q)?;
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -230,24 +241,26 @@ impl<E: MaintainableEngine> ServingEngine<E> {
     }
 
     /// Applies one delta through the transactional maintenance path and —
-    /// only on success — publishes the new epoch. Concurrent callers
-    /// serialize on the writer lock; readers are unaffected either way:
+    /// only on success — publishes the new epoch's database together with
+    /// its maintained result. Concurrent callers serialize on the writer
+    /// lock; readers are unaffected either way:
     ///
-    /// * `Ok`: the returned result reflects the new epoch, which readers
-    ///   pin from this point on (the maintained views the engine
-    ///   re-admitted to the global cache are keyed by post-delta ids, so
-    ///   the *next* cold read at the new epoch hits them).
+    /// * `Ok`: the returned result is the very `Arc` readers pin from this
+    ///   point on (the maintained views the engine re-admitted to the
+    ///   global cache are keyed by post-delta ids, so the *next* ad-hoc or
+    ///   cold run at the new epoch hits them).
     /// * `Err`: the maintained state was rolled back to the pre-delta
     ///   epoch and cache entries under rolled-back ids invalidated by the
     ///   [`MaintainableEngine::apply_delta`] wrapper — and since nothing
     ///   publishes, readers keep pinning the last good epoch. The
     ///   invalidation happens strictly before this method returns, hence
     ///   strictly before any later successful delta publishes.
-    pub fn apply_delta(&self, delta: &Delta) -> Result<BatchResult, DataError> {
+    pub fn apply_delta(&self, delta: &Delta) -> Result<Arc<BatchResult>, DataError> {
         let mut st = self.writer_lock();
         match self.engine.apply_delta(&mut st, delta) {
             Ok(r) => {
-                self.publish(st.database().snapshot());
+                let r = Arc::new(r);
+                self.publish(st.database().snapshot(), Arc::clone(&r));
                 self.deltas_applied.fetch_add(1, Ordering::Relaxed);
                 Ok(r)
             }
@@ -256,14 +269,6 @@ impl<E: MaintainableEngine> ServingEngine<E> {
                 Err(e)
             }
         }
-    }
-
-    /// The writer's current maintained result, without applying a delta
-    /// (serialized with [`ServingEngine::apply_delta`] on the writer
-    /// lock).
-    pub fn maintained(&self) -> Result<BatchResult, DataError> {
-        let mut st = self.writer_lock();
-        self.engine.eval(&mut st)
     }
 
     /// Swaps the writer's maintained state for a recompute-per-delta one
@@ -311,11 +316,12 @@ impl<E: MaintainableEngine> ServingEngine<E> {
 
     /// Locks the writer state, recovering from poisoning instead of
     /// panicking. A poisoned writer mutex means a panic escaped while the
-    /// maintained state was held mutably — e.g. an engine's `eval`
-    /// panicking outside the contained maintenance path — so the
-    /// incremental structures may be half-updated. Trusting them would
-    /// risk serving wrong results, so this degrades exactly like the
-    /// transactional wrapper does after a failed re-prepare: rebuild the
+    /// maintained state was held mutably — e.g. an engine's `prepare`
+    /// panicking in [`ServingEngine::promote`], outside the contained
+    /// maintenance path — so the incremental structures may be
+    /// half-updated. Trusting them would risk serving wrong results, so
+    /// this degrades exactly like the transactional wrapper does after a
+    /// failed re-prepare: rebuild the
     /// state from its own (epoch-consistent) database via `prepare`,
     /// falling back to recompute-per-delta if even that fails, then clear
     /// the poison flag. The published snapshot is untouched either way —
@@ -336,14 +342,19 @@ impl<E: MaintainableEngine> ServingEngine<E> {
         }
     }
 
-    /// Atomically replaces the published snapshot. Called only with the
-    /// writer lock held and only after maintenance succeeded, which is
-    /// the publication-ordering invariant: every cache admission and
-    /// invalidation of the delta happens-before the epoch becomes
-    /// pinnable.
-    fn publish(&self, db: Database) {
-        let next = Arc::new(EpochDb::new(db));
-        *self.published.write().unwrap_or_else(|p| p.into_inner()) = next;
+    /// Atomically replaces the published snapshot and its answer. Called
+    /// only with the writer lock held and only after maintenance
+    /// succeeded, which is the publication-ordering invariant: every cache
+    /// admission and invalidation of the delta happens-before the epoch
+    /// becomes pinnable. The previous epoch is dropped after the write
+    /// lock is released, so freeing its answer never stalls a reader's pin.
+    fn publish(&self, db: Database, result: Arc<BatchResult>) {
+        let next = Arc::new(EpochDb::new(db, result));
+        let prev = std::mem::replace(
+            &mut *self.published.write().unwrap_or_else(|p| p.into_inner()),
+            next,
+        );
+        drop(prev);
     }
 
     fn read_published(&self) -> Arc<EpochDb> {
@@ -416,49 +427,207 @@ mod tests {
         // The pin still answers at its own epoch…
         assert_eq!(serving.query_at(&pinned).unwrap().scalar(0), 6.0);
         assert_eq!(pinned.epoch() + 6, serving.epoch());
-        // …while fresh pins see the latest.
-        assert_eq!(serving.query().unwrap().1.scalar(0), 45.0);
-        // And the writer's maintained result agrees with a cold run.
+        // …while fresh pins see the latest, which agrees with a cold run.
+        let (_, latest) = serving.query().unwrap();
+        assert_eq!(latest.scalar(0), 45.0);
         let cold = FlatEngine.run(serving.snapshot().database(), &sum_query()).unwrap();
-        assert_eq!(serving.maintained().unwrap().scalar(0), cold.scalar(0));
+        assert_eq!(latest.scalar(0), cold.scalar(0));
     }
 
-    /// An engine whose `eval` panics once, while the writer mutex is held
-    /// mutably — the poisoning scenario `writer_lock` recovers from.
-    struct PanickyEval {
+    /// Same group attrs, same represented keys, same bits.
+    fn assert_bit_identical(expect: &BatchResult, got: &BatchResult) {
+        assert_eq!(expect.groups, got.groups);
+        for (e, g) in expect.values.iter().zip(&got.values) {
+            assert_eq!(e.len(), g.len());
+            for (k, v) in e {
+                assert_eq!(g.get(k).map(|x| x.to_bits()), Some(v.to_bits()), "key {k:?}");
+            }
+        }
+    }
+
+    /// Counts every [`Engine::run`] while maintaining through LMFAO's
+    /// view tree, which never calls back into `run`.
+    struct CountingRuns {
+        inner: LmfaoEngine,
+        runs: AtomicU64,
+    }
+
+    impl Engine for CountingRuns {
+        fn name(&self) -> &'static str {
+            "counting-runs"
+        }
+        fn run(&self, db: &Database, q: &AggQuery) -> Result<BatchResult, DataError> {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            self.inner.run(db, q)
+        }
+    }
+
+    impl MaintainableEngine for CountingRuns {
+        fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
+            self.inner.prepare(db, q)
+        }
+        fn apply_delta_kind(
+            &self,
+            st: &mut MaintState,
+            delta: &Delta,
+        ) -> Result<BatchResult, DataError> {
+            self.inner.apply_delta_kind(st, delta)
+        }
+        fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
+            self.inner.eval(st)
+        }
+    }
+
+    #[test]
+    fn reads_run_no_engine_and_rejected_deltas_keep_the_published_pair() {
+        let engine = CountingRuns {
+            inner: LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() }),
+            runs: AtomicU64::new(0),
+        };
+        let serving = ServingEngine::new(engine, &db(), &sum_query()).unwrap();
+        let runs0 = serving.engine().runs.load(Ordering::SeqCst);
+        let e0 = serving.epoch();
+        for k in 4..12 {
+            for _ in 0..3 {
+                let (epoch, r) = serving.query().unwrap();
+                let snap = serving.snapshot();
+                assert_eq!(epoch, snap.epoch());
+                assert_bit_identical(&r, &serving.query_at(&snap).unwrap());
+            }
+            let served = serving
+                .apply_delta(&Delta::insert("R", vec![Value::Int(k), Value::F64(k as f64)]))
+                .unwrap();
+            // The writer hands back the very answer it published.
+            assert!(Arc::ptr_eq(&served, &serving.snapshot().result));
+        }
+        assert_eq!(serving.epoch(), e0 + 8);
+        assert_eq!(serving.query().unwrap().1.scalar(0), 66.0);
+        assert_eq!(serving.engine().runs.load(Ordering::SeqCst), runs0, "no read ran the engine");
+
+        // A rejected delta leaves the published (epoch, result) untouched.
+        let before = serving.snapshot();
+        let (epoch_before, answer_before) = serving.query().unwrap();
+        let bad = Delta::delete("R", vec![Value::Int(99), Value::F64(99.0)]);
+        assert!(serving.apply_delta(&bad).is_err());
+        assert!(Arc::ptr_eq(&before, &serving.snapshot()), "a rejected delta never publishes");
+        let (epoch_after, answer_after) = serving.query().unwrap();
+        assert_eq!(epoch_before, epoch_after);
+        assert_bit_identical(&answer_before, &answer_after);
+    }
+
+    /// R(k, g, c, x) ⋈ S(g, y) with non-dyadic `k/3 + 0.1` measures.
+    fn real_db() -> Database {
+        let mut db = Database::new();
+        let mut r = Relation::new(Schema::of(&[
+            ("k", AttrType::Int),
+            ("g", AttrType::Categorical),
+            ("c", AttrType::Categorical),
+            ("x", AttrType::Double),
+        ]));
+        for k in 0..40i64 {
+            r.push_row(&real_row(k)).unwrap();
+        }
+        let mut s =
+            Relation::new(Schema::of(&[("g", AttrType::Categorical), ("y", AttrType::Double)]));
+        for g in 0..3i64 {
+            s.push_row(&[Value::Int(g), Value::F64(g as f64 / 3.0 + 0.1)]).unwrap();
+        }
+        db.add("R", r);
+        db.add("S", s);
+        db
+    }
+
+    fn real_row(k: i64) -> Vec<Value> {
+        vec![Value::Int(k), Value::Int(k % 3), Value::Int(k % 4), Value::F64(k as f64 / 3.0 + 0.1)]
+    }
+
+    fn real_query() -> AggQuery {
+        let mut batch = AggBatch::new();
+        batch.push(Aggregate::count());
+        batch.push(Aggregate::sum("x"));
+        batch.push(Aggregate::sum_prod("x", "y"));
+        batch.push(Aggregate::sum_prod("x", "x").by(&["c"]));
+        batch.push(Aggregate::sum("y").by(&["c"]));
+        AggQuery::new(&["R", "S"], batch)
+    }
+
+    /// The float contract for served answers (DESIGN §2.10): a maintained
+    /// answer over non-dyadic measures matches a cold run within the §2.7
+    /// bound, not bit for bit; two reads of one pin are bit-identical.
+    #[test]
+    fn served_answers_over_real_measures_track_cold_runs() {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+        let mut deltas: Vec<Delta> = (40..52).map(|k| Delta::insert("R", real_row(k))).collect();
+        deltas.insert(6, Delta::delete("R", real_row(17)));
+        let seq = EngineConfig { threads: 1, ..Default::default() };
+        let morsels = EngineConfig { threads: 2, morsel_rows: 8, ..Default::default() };
+        for cfg in [seq, morsels] {
+            let mut shadow = real_db();
+            let serving =
+                ServingEngine::new(LmfaoEngine::with_config(cfg), &shadow, &real_query()).unwrap();
+            for (i, d) in std::iter::once(None).chain(deltas.iter().map(Some)).enumerate() {
+                if let Some(d) = d {
+                    shadow.apply_delta(d).unwrap();
+                    serving.apply_delta(d).unwrap();
+                }
+                let snap = serving.snapshot();
+                let (epoch, served) = serving.query().unwrap();
+                assert_eq!(epoch, snap.epoch());
+                assert_bit_identical(&served, &serving.query_at(&snap).unwrap());
+                let cold = FlatEngine.run(&shadow, &real_query()).unwrap();
+                assert_eq!(cold.groups, served.groups);
+                for (a, (c, s)) in cold.values.iter().zip(&served.values).enumerate() {
+                    assert_eq!(c.len(), s.len(), "step {i} agg {a}: key count");
+                    for (k, v) in c {
+                        let got = s.get(k).copied().unwrap_or(0.0);
+                        assert!(close(*v, got), "step {i} agg {a} key {k:?}: cold {v}, got {got}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An engine whose `prepare` panics once when armed — after `new`, so
+    /// the panic comes from [`ServingEngine::promote`] while the writer
+    /// mutex is held mutably: the poisoning scenario `writer_lock`
+    /// recovers from.
+    struct PanickyPrepare {
         armed: std::sync::atomic::AtomicBool,
     }
 
-    impl Engine for PanickyEval {
+    impl Engine for PanickyPrepare {
         fn name(&self) -> &'static str {
-            "panicky-eval"
+            "panicky-prepare"
         }
         fn run(&self, db: &Database, q: &AggQuery) -> Result<BatchResult, DataError> {
             FlatEngine.run(db, q)
         }
     }
 
-    impl crate::maintain::MaintainableEngine for PanickyEval {
-        fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
+    impl crate::maintain::MaintainableEngine for PanickyPrepare {
+        fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
             if self.armed.swap(false, Ordering::SeqCst) {
-                panic!("eval panic while holding the writer state");
+                panic!("prepare panic while holding the writer state");
             }
-            self.run(st.database(), st.query())
+            FlatEngine.prepare(db, q)
         }
     }
 
     #[test]
     fn poisoned_writer_mutex_degrades_to_reprepare_instead_of_panicking() {
         let serving = ServingEngine::new(
-            PanickyEval { armed: std::sync::atomic::AtomicBool::new(true) },
+            PanickyPrepare { armed: std::sync::atomic::AtomicBool::new(false) },
             &db(),
             &sum_query(),
         )
         .unwrap();
         let e0 = serving.epoch();
-        let panicked =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serving.maintained()));
-        assert!(panicked.is_err(), "first eval must escape as a panic");
+        serving.engine().armed.store(true, Ordering::SeqCst);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serving.promote()));
+        assert!(panicked.is_err(), "the armed prepare must escape as a panic");
+        // Poison recovery never publishes.
+        assert_eq!(serving.epoch(), e0);
+        assert_eq!(serving.query().unwrap().1.scalar(0), 6.0);
 
         // The writer mutex is now poisoned. Every writer-side entry point
         // must recover (re-prepare from the maintained database) rather
@@ -466,7 +635,8 @@ mod tests {
         serving.apply_delta(&Delta::insert("R", vec![Value::Int(4), Value::F64(4.0)])).unwrap();
         assert_eq!(serving.epoch(), e0 + 1);
         assert_eq!(serving.query().unwrap().1.scalar(0), 10.0);
-        assert_eq!(serving.maintained().unwrap().scalar(0), 10.0);
+        serving.promote().unwrap();
+        assert_eq!(serving.query().unwrap().1.scalar(0), 10.0);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Epoch-based concurrent serving (§1.5 "keeping models fresh", read
-//! side): many reader threads answer aggregate queries against pinned
-//! snapshots while one writer streams deltas through the transactional
-//! maintenance path — readers never block on maintenance, and every
-//! answer is tagged with the epoch it reflects.
+//! side): many reader threads read a maintained aggregate batch from
+//! pinned snapshots while one writer streams deltas through the
+//! transactional maintenance path — readers never block on maintenance,
+//! never re-run the engine, and every answer is tagged with the epoch it
+//! reflects.
 //!
 //! A [`ServingEngine`] wraps any `MaintainableEngine`. The single writer
 //! applies each delta under the engine's all-or-nothing contract and then
-//! atomically publishes the new epoch's snapshot; readers grab the
-//! current `Arc` and compute entirely on it, so a reader that starts at
-//! epoch *e* finishes at epoch *e* no matter how many publications happen
-//! meanwhile.
+//! atomically publishes the new epoch's snapshot together with the answer
+//! it maintained; readers grab the current `Arc` and copy that answer
+//! out, so a reader pinned at epoch *e* reads epoch *e*'s answer no
+//! matter how many publications happen meanwhile.
 //!
 //! ```bash
 //! cargo run --release --example serving

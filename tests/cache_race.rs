@@ -2,7 +2,8 @@
 //! refreshes `data_id`s via deltas (including failing deltas, whose
 //! rollback re-issues pre-delta ids and invalidates post-delta cache
 //! entries) while N reader threads hammer the global `SortCache` and —
-//! through engine runs — the global `ViewCache`.
+//! through ad-hoc engine runs on their pinned snapshots — the global
+//! `ViewCache`.
 //!
 //! The invariant: **no stale hit ever crosses an epoch boundary.** A
 //! reader pinned at epoch *e* must get sorted views and query results
@@ -79,12 +80,14 @@ fn run_race(readers: usize, rounds: i64) {
                         rel.int_col(0).iter().sum::<i64>(),
                         "sorted view holds exactly the pinned rows"
                     );
-                    // ViewCache (through the engine): each committed epoch
-                    // appends exactly one row, so the count at the pinned
-                    // epoch is n0 + (epoch - e0) — a stale view hit under
-                    // a newer or rolled-back id breaks this exactly.
+                    // ViewCache (through an ad-hoc engine run on the pin;
+                    // the served answer itself runs no engine): each
+                    // committed epoch appends exactly one row, so the count
+                    // at the pinned epoch is n0 + (epoch - e0) — a stale
+                    // view hit under a newer or rolled-back id breaks this
+                    // exactly.
                     let epoch = snap.epoch();
-                    let got = serving.query_at(&snap).unwrap();
+                    let got = serving.query_adhoc(&snap, &query()).unwrap();
                     assert_eq!(
                         got.scalar(0),
                         (n0 + (epoch - e0) as i64) as f64,
@@ -94,6 +97,20 @@ fn run_race(readers: usize, rounds: i64) {
                         .map(|g| got.grouped(1).get([g].as_slice()).copied().unwrap_or(0.0))
                         .sum();
                     assert_eq!(by_g, got.scalar(0), "grouped counts partition the pinned rows");
+                    // The answer the writer maintained for this pin is the
+                    // same, bit for bit (every measure is an integer).
+                    let served = serving.query_at(&snap).unwrap();
+                    for i in 0..got.values.len() {
+                        assert_eq!(served.groups[i], got.groups[i]);
+                        assert_eq!(served.grouped(i).len(), got.grouped(i).len());
+                        for (k, v) in got.grouped(i) {
+                            assert_eq!(
+                                served.grouped(i).get(k).map(|x| x.to_bits()),
+                                Some(v.to_bits()),
+                                "served agg {i} key {k:?} at epoch {epoch}"
+                            );
+                        }
+                    }
                     checks += 1;
                 }
             });

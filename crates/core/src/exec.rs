@@ -37,10 +37,15 @@ impl<'a> CacheCtx<'a> {
     pub(crate) fn new(cache: &'a ViewCache, plan: &Plan, cfg: &EngineConfig) -> Self {
         Self {
             cache,
-            sigs: plan.subtree_signatures(cfg.dense_limit),
-            head_ids: plan.rels.iter().map(|r| r.data_id()).collect(),
+            sigs: plan.subtree_signatures(),
+            head_ids: plan.ids.clone(),
             budget: cfg.view_cache_bytes,
         }
+    }
+
+    /// The per-node subtree signatures this context keys the cache by.
+    pub(crate) fn into_sigs(self) -> Vec<String> {
+        self.sigs
     }
 
     /// The cached views of `node`'s subtree, if its signature is warm.
@@ -139,24 +144,14 @@ pub(crate) fn filter_pass(op: &FilterOp, x_f: f64, x_i: i64) -> bool {
     }
 }
 
-/// Computes all views of `node` over `rows` of its relation, probing the
-/// children's views in `child_data`.
+/// Computes all views of `node` over `rows` of `rel`, probing the
+/// children's views in `child_data`. `rel` is the node's relation — the
+/// caller holds the database borrow; the plan holds no rows — or, on the
+/// delta-maintenance path, a batch of inserted (or deleted) rows shaped
+/// like it, which contributes its views exactly as those rows would
+/// during a full scan, so the result is the *delta* of the node's views
+/// under the update.
 pub(crate) fn compute_node(
-    plan: &Plan,
-    node: usize,
-    child_data: &[Option<Arc<Vec<ViewData>>>],
-    cfg: &EngineConfig,
-    rows: Range<usize>,
-) -> Vec<ViewData> {
-    compute_node_over(plan, node, &plan.rels[node], child_data, cfg, rows)
-}
-
-/// [`compute_node`] scanning `rel` in place of the node's own relation —
-/// the delta-maintenance entry point: a batch of inserted (or deleted)
-/// rows, shaped like the node's relation, contributes its views exactly
-/// as those rows would during a full scan, so the result is the *delta*
-/// of the node's views under the update.
-pub(crate) fn compute_node_over(
     plan: &Plan,
     node: usize,
     rel: &Relation,
@@ -858,17 +853,19 @@ impl<'a> Cross<'a> {
     }
 }
 
-/// Computes all nodes of `order` sequentially (bottom-up), offering each
-/// computed node to the view cache.
+/// Computes all nodes of `order` sequentially (bottom-up) over their
+/// relations `rels` (in node order), offering each computed node to the
+/// view cache.
 pub(crate) fn compute_subtree(
     plan: &Plan,
+    rels: &[&Relation],
     order: &[usize],
     data: &mut [Option<Arc<Vec<ViewData>>>],
     cfg: &EngineConfig,
     ctx: Option<&CacheCtx<'_>>,
 ) {
     for &n in order {
-        let views = Arc::new(compute_node(plan, n, data, cfg, 0..plan.rels[n].len()));
+        let views = Arc::new(compute_node(plan, n, rels[n], data, cfg, 0..rels[n].len()));
         if let Some(ctx) = ctx {
             ctx.admit(n, &views);
         }
@@ -895,17 +892,18 @@ pub(crate) fn run_batch(
     for (i, agg) in batch.aggs.iter().enumerate() {
         agg_slots.push(plan.decompose(agg, i, root, cfg.share)?);
     }
-    plan.finalize(cfg.dense_limit);
+    let rels = crate::plan::relations(db, relations)?;
+    plan.finalize(&rels, cfg.dense_limit);
     let plan = plan; // freeze
     let ctx = (cfg.view_cache_bytes > 0).then(|| CacheCtx::new(ViewCache::global(), &plan, cfg));
-    let mut data: Vec<Option<Arc<Vec<ViewData>>>> = plan.rels.iter().map(|_| None).collect();
+    let mut data: Vec<Option<Arc<Vec<ViewData>>>> = vec![None; rels.len()];
 
     // Serve warm subtrees top-down: a node whose subtree signature hits
     // needs nothing below it (its views already fold the whole subtree
     // in), so the walk only descends into missed nodes. What's left to
     // compute is exactly the nodes on the path from some changed relation
     // or filter to the root — the residual of the batch against the cache.
-    let mut need = vec![false; plan.rels.len()];
+    let mut need = vec![false; rels.len()];
     for &c in &plan.nodes[root].children {
         need[c] = true;
     }
@@ -927,16 +925,23 @@ pub(crate) fn run_batch(
     // Missed nodes bottom-up; root children subtrees are independent and
     // can run task-parallel.
     if cfg.threads > 1 && plan.nodes[root].children.len() > 1 {
-        parallel::compute_subtrees_parallel(&plan, &to_compute, &mut data, cfg, ctx.as_ref())?;
+        parallel::compute_subtrees_parallel(
+            &plan,
+            &rels,
+            &to_compute,
+            &mut data,
+            cfg,
+            ctx.as_ref(),
+        )?;
     } else {
-        compute_subtree(&plan, &to_compute, &mut data, cfg, ctx.as_ref());
+        compute_subtree(&plan, &rels, &to_compute, &mut data, cfg, ctx.as_ref());
     }
 
     // Root: domain parallelism over morsel-sized row chunks. The root's
     // cache key carries the chunk count, since chunk-merge order affects
     // float rounding; `morsel_count` is deterministic in (rows, config),
     // so warm runs key identically.
-    let root_rows = plan.rels[root].len();
+    let root_rows = rels[root].len();
     let chunked = cfg.threads > 1 && root_rows > cfg.morsel_rows;
     let chunks = if chunked {
         crate::morsel::morsel_count(root_rows, cfg.morsel_rows, cfg.threads.min(root_rows))
@@ -948,9 +953,9 @@ pub(crate) fn run_batch(
         Some(hit) => hit,
         None => {
             let computed = if chunked {
-                parallel::compute_root_chunked(&plan, &data, cfg, root_rows)?
+                parallel::compute_root_chunked(&plan, rels[root], &data, cfg)?
             } else {
-                compute_node(&plan, root, &data, cfg, 0..root_rows)
+                compute_node(&plan, root, rels[root], &data, cfg, 0..root_rows)
             };
             let computed = Arc::new(computed);
             if let Some(ctx) = &ctx {

@@ -44,15 +44,24 @@
 //! **Cost model.** A [`MaintState`] owns one maintained [`Database`] copy
 //! (cheap at prepare — relations are `Arc`-shared until mutated) and
 //! applies each delta to it once: `O(delta)` for inserts, the multiset's
-//! `O(rows)` match-and-rebuild for deletes.
+//! `O(rows)` match-and-rebuild for deletes. The maintained structures
+//! hold no relation between deltas (LMFAO's plan keeps per-node content
+//! ids only; every row it needs is read from the database it is
+//! handed), so after its first mutation a relation has one holder and an
+//! insert appends in place instead of copying the table. On top of the
+//! commit, an LMFAO delta costs its delta views, the merge along the
+//! owner→root path, the path's signatures and cache admission (only
+//! with the view cache on), result extraction, and — for a non-root
+//! owner — one typed scan of each ancestor's key columns for the rows
+//! joining a changed key.
 
 use crate::backend::{Engine, FactorizedEngine, FlatEngine, LmfaoEngine};
-use crate::exec::{compute_node, compute_node_over, CacheCtx};
+use crate::exec::{compute_node, CacheCtx, Col};
 use crate::ir::{AggQuery, BatchResult};
 use crate::parallel::{merge_view_data, EngineConfig};
 use crate::plan::{Plan, ViewData};
 use crate::viewcache::ViewCache;
-use fdb_data::{fault, DataError, Database, Delta, Relation};
+use fdb_data::{fault, DataError, Database, Delta, Relation, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -263,9 +272,10 @@ impl MaintainableEngine for FactorizedEngine {}
 // LMFAO: incremental maintenance of the layered view tree
 // ---------------------------------------------------------------------------
 
-/// The LMFAO maintained structure: the prepare-time plan (relations held
-/// by `Arc`, the updated one refreshed per delta), per-node materialized
-/// views, and the metadata extraction needs.
+/// The LMFAO maintained structure: the prepare-time plan (per-node
+/// content ids, no relation — every row a delta needs is read from the
+/// maintained database it is handed), per-node materialized views, and
+/// the metadata extraction needs.
 struct LmfaoMaint {
     /// The toggles of the engine that prepared it.
     cfg: EngineConfig,
@@ -283,30 +293,32 @@ struct LmfaoMaint {
     ranges: Vec<Vec<Option<(i64, i64)>>>,
     /// Maintained views per node (bottom-up complete, root included).
     data: Vec<Arc<Vec<ViewData>>>,
-    /// Per-node subtree signatures, kept current: a delta refreshes only
-    /// the owner→root path's entries (off-path subtrees exclude the
-    /// mutated relation, so their signatures cannot change), avoiding an
-    /// O(plan) re-serialization per delta.
+    /// Per-node subtree signatures, kept current while the view cache is
+    /// on (empty when it is off — nothing reads them then): a delta
+    /// refreshes only the owner→root path's entries (off-path subtrees
+    /// exclude the mutated relation, so their signatures cannot change).
     sigs: Vec<String>,
 }
 
 /// Builds the complete maintained structure from `db`, serving warm
 /// subtrees from (and admitting cold ones to) the global [`ViewCache`].
-/// `root` pins the join-tree root across refreshes.
+/// `root` pins the join-tree root across refreshes. The relations are
+/// borrowed for the build only: the result holds none of them.
 fn lmfao_build(
     cfg: &EngineConfig,
     db: &Database,
     q: &AggQuery,
     root: Option<usize>,
 ) -> Result<LmfaoMaint, DataError> {
-    let rels = q.relation_refs();
-    let mut plan = Plan::build_at(db, &rels, root)?;
+    let names = q.relation_refs();
+    let rels = crate::plan::relations(db, &names)?;
+    let mut plan = Plan::build_at(db, &names, root)?;
     let root = plan.root;
     let mut agg_slots = Vec::with_capacity(q.batch.len());
     for (i, agg) in q.batch.aggs.iter().enumerate() {
         agg_slots.push(plan.decompose(agg, i, root, cfg.share)?);
     }
-    plan.finalize(cfg.dense_limit);
+    plan.finalize(&rels, cfg.dense_limit);
     let plan = plan; // freeze
     let groups: Vec<Vec<String>> =
         agg_slots.iter().map(|&(vi, _)| plan.nodes[root].views[vi].group_attrs.clone()).collect();
@@ -316,11 +328,8 @@ fn lmfao_build(
             parents[c] = Some(i);
         }
     }
-    let ranges: Vec<Vec<Option<(i64, i64)>>> = plan
-        .rels
-        .iter()
-        .map(|r| (0..r.schema().arity()).map(|c| r.int_min_max(c)).collect())
-        .collect();
+    let ranges: Vec<Vec<Option<(i64, i64)>>> =
+        rels.iter().map(|r| (0..r.schema().arity()).map(|c| r.int_min_max(c)).collect()).collect();
     // Materialize every node bottom-up — the state must hold *all* views
     // (a later delta below any node probes its siblings), unlike
     // `run_batch`, which skips whole warm subtrees.
@@ -348,7 +357,7 @@ fn lmfao_build(
         let views = match served {
             Some(hit) => hit,
             None => {
-                let v = Arc::new(compute_node(&plan, n, &slots, cfg, 0..plan.rels[n].len()));
+                let v = Arc::new(compute_node(&plan, n, rels[n], &slots, cfg, 0..rels[n].len()));
                 if let Some(c) = &ctx {
                     if n == root {
                         c.admit_root(root, 1, &v);
@@ -362,7 +371,7 @@ fn lmfao_build(
         slots[n] = Some(views);
     }
     let data = slots.into_iter().map(|s| s.expect("order covers every node")).collect();
-    let sigs = plan.subtree_signatures(cfg.dense_limit);
+    let sigs = ctx.map(CacheCtx::into_sigs).unwrap_or_default();
     Ok(LmfaoMaint { cfg: *cfg, plan, agg_slots, groups, parents, ranges, data, sigs })
 }
 
@@ -399,18 +408,18 @@ fn lmfao_refresh(
 }
 
 /// True when every inserted row's integer values lie inside the
-/// prepare-time column ranges of the updated relation — the condition
-/// under which delta rows are guaranteed to encode into every dense code
-/// space the maintained views use. (Deletes always fit: the maintained
-/// ranges cover every row the relation has held since the last rebuild.)
-fn delta_fits(m: &LmfaoMaint, owner: usize, delta: &Delta) -> bool {
-    let schema = m.plan.rels[owner].schema();
+/// prepare-time column ranges `ranges` of the updated relation — the
+/// condition under which delta rows are guaranteed to encode into every
+/// dense code space the maintained views use. (Deletes always fit: the
+/// maintained ranges cover every row the relation has held since the
+/// last rebuild.)
+fn delta_fits(ranges: &[Option<(i64, i64)>], schema: &Schema, delta: &Delta) -> bool {
     delta.inserts().all(|row| {
         row.iter().enumerate().all(|(c, v)| {
             if !schema.attr(c).ty.is_int_backed() {
                 return true;
             }
-            match m.ranges[owner][c] {
+            match ranges[c] {
                 Some((lo, hi)) => {
                     let x = v.as_int();
                     x >= lo && x <= hi
@@ -424,8 +433,52 @@ fn delta_fits(m: &LmfaoMaint, owner: usize, delta: &Delta) -> bool {
     })
 }
 
+/// The rows of `rel` joining a changed key of the delta views `dv`: those
+/// whose key columns `kcols` (read as `Value::as_int` reads them) form a
+/// join key some view of `dv` holds, in row order. The changed keys are
+/// collected once; the rows are then filtered by one tight loop over the
+/// first key column (a range check, then a binary search among the
+/// changed first components), checking the remaining columns of a
+/// composite key only for rows that pass.
+fn joining_rows(rel: &Relation, kcols: &[usize], dv: &[ViewData]) -> Vec<usize> {
+    let mut keys: Vec<Box<[i64]>> = Vec::new();
+    for v in dv {
+        v.for_each_key(|k| keys.push(k.into()));
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    if keys.is_empty() {
+        return Vec::new();
+    }
+    let Some((&first, rest)) = kcols.split_first() else {
+        // No shared attribute: the child joins every row (a product).
+        return (0..rel.len()).collect();
+    };
+    let mut firsts: Vec<i64> = keys.iter().map(|k| k[0]).collect();
+    firsts.dedup();
+    let (lo, hi) = (firsts[0], firsts[firsts.len() - 1]);
+    let cols = Col::all(rel);
+    let mut key = vec![0i64; kcols.len()];
+    let mut full = |r: usize, x: i64| {
+        rest.is_empty() || {
+            key[0] = x;
+            for (k, &c) in key[1..].iter_mut().zip(rest) {
+                *k = cols[c].get_int(r);
+            }
+            keys.binary_search_by(|k| (**k).cmp(&key[..])).is_ok()
+        }
+    };
+    let mut hit =
+        |r: usize, x: i64| x >= lo && x <= hi && firsts.binary_search(&x).is_ok() && full(r, x);
+    match &cols[first] {
+        Col::I(v) => (0..v.len()).filter(|&r| hit(r, v[r])).collect(),
+        Col::F(v) => (0..v.len()).filter(|&r| hit(r, v[r] as i64)).collect(),
+    }
+}
+
 /// The incremental path: delta views at the owner, propagated along the
-/// owner→root path. `db` already reflects the delta.
+/// owner→root path. `db` already reflects the delta; it is the only
+/// source of rows (the structure holds no relation).
 fn lmfao_delta(
     db: &Database,
     q: &AggQuery,
@@ -433,25 +486,25 @@ fn lmfao_delta(
     delta: &Delta,
     owner: usize,
 ) -> Result<BatchResult, DataError> {
-    // Refresh the owner's relation handle: signatures must embed the
-    // post-delta content id, and path rescans must see current rows.
-    m.plan.rels[owner] = db.get_shared(&delta.relation)?;
-    if !delta_fits(m, owner, delta) {
+    // Signatures must embed the owner's post-delta content id.
+    let rel = db.get(&delta.relation)?;
+    let schema = rel.schema().clone();
+    m.plan.ids[owner] = rel.data_id();
+    if !delta_fits(&m.ranges[owner], &schema, delta) {
         return lmfao_refresh(db, q, m);
     }
     let cfg = &m.cfg;
     // Delta views of the owner: the inserted rows' contributions minus
     // the deleted rows', both probed against the unchanged child views.
-    let schema = m.plan.rels[owner].schema().clone();
     let mut ins = Relation::new(schema.clone());
     let mut del = Relation::new(schema);
     for (row, mult) in delta.rows() {
         if *mult > 0 { &mut ins } else { &mut del }.push_row(row)?;
     }
     let mut base: Vec<Option<Arc<Vec<ViewData>>>> = m.data.iter().cloned().map(Some).collect();
-    let mut dv = compute_node_over(&m.plan, owner, &ins, &base, cfg, 0..ins.len());
+    let mut dv = compute_node(&m.plan, owner, &ins, &base, cfg, 0..ins.len());
     if !del.is_empty() {
-        let mut neg = compute_node_over(&m.plan, owner, &del, &base, cfg, 0..del.len());
+        let mut neg = compute_node(&m.plan, owner, &del, &base, cfg, 0..del.len());
         for v in &mut neg {
             v.scale(-1.0);
         }
@@ -478,16 +531,8 @@ fn lmfao_delta(
             let child = path[step - 1];
             let np = &m.plan.nodes[n];
             let cpos = np.children.iter().position(|&c| c == child).expect("path child");
-            let kcols = np.child_key_cols[cpos].clone();
-            let rel = Arc::clone(&m.plan.rels[n]);
-            let mut key: Vec<i64> = Vec::with_capacity(kcols.len());
-            let matches: Vec<usize> = (0..rel.len())
-                .filter(|&r| {
-                    key.clear();
-                    key.extend(kcols.iter().map(|&c| rel.value(r, c).as_int()));
-                    cur_delta.iter().any(|v| v.contains_key(&key))
-                })
-                .collect();
+            let rel = db.get(&q.relations[n])?;
+            let matches = joining_rows(rel, &np.child_key_cols[cpos], &cur_delta);
             if matches.is_empty() {
                 // Dead delta: nothing above changes.
                 break;
@@ -495,7 +540,7 @@ fn lmfao_delta(
             let sub = rel.permuted(&matches);
             let mut pdata = base.clone();
             pdata[child] = Some(Arc::clone(&cur_delta));
-            cur_delta = Arc::new(compute_node_over(&m.plan, n, &sub, &pdata, cfg, 0..sub.len()));
+            cur_delta = Arc::new(compute_node(&m.plan, n, &sub, &pdata, cfg, 0..sub.len()));
         }
         // A path node's `base` entry is never probed again — ancestors
         // consult only their children, and the path child is always
@@ -510,23 +555,20 @@ fn lmfao_delta(
         let views: &mut Vec<ViewData> = Arc::make_mut(&mut m.data[n]);
         merge_view_data(views, (*cur_delta).clone());
     }
-    // Refresh the path's signatures bottom-up against the cached vector
-    // (off-path subtrees exclude the owner, so their signatures are
-    // unchanged — the invariant that keeps `m.sigs` current without an
-    // O(plan) re-serialization per delta), then re-admit the path under
-    // the post-delta keys: off-path cache entries stay warm automatically
-    // and the path is maintained in place instead of aging out.
-    for &n in &path {
-        m.sigs[n] = m.plan.node_signature(n, cfg.dense_limit, &m.sigs);
-    }
+    // With the view cache on, refresh the path's signatures bottom-up
+    // against the cached vector (off-path subtrees exclude the owner, so
+    // their signatures are unchanged), then re-admit the path under the
+    // post-delta keys: off-path cache entries stay warm automatically and
+    // the path is maintained in place instead of aging out.
     if cfg.view_cache_bytes > 0 {
         let cache = ViewCache::global();
         for &n in &path {
+            m.sigs[n] = m.plan.node_signature(n, &m.sigs);
             let key =
                 if n == m.plan.root { format!("{}#chunks1", m.sigs[n]) } else { m.sigs[n].clone() };
             cache.insert_maintained(
                 &key,
-                m.plan.rels[n].data_id(),
+                m.plan.ids[n],
                 Arc::clone(&m.data[n]),
                 cfg.view_cache_bytes,
             );
@@ -705,6 +747,114 @@ mod tests {
             shadow.apply_delta(d).unwrap();
             let cold = FlatEngine.run(&shadow, &q).unwrap();
             assert_same(&format!("fallback {i}"), &got, &cold, q.batch.len());
+            // The rebuilt structure releases the relations it scanned.
+            assert_eq!(held(&st, &d.relation), 2, "fallback {i}: `{}` still held", d.relation);
+        }
+    }
+
+    /// Holders of `name`'s relation: the state's database, this probe's
+    /// handle, and anything else that kept one.
+    fn held(st: &MaintState, name: &str) -> usize {
+        Arc::strong_count(&st.database().get_shared(name).unwrap())
+    }
+
+    /// LMFAO whose next maintained delta runs and then fails: the wrapper
+    /// must roll the database back and rebuild the half-updated structure
+    /// through `prepare`.
+    struct FailAfterMaintain {
+        inner: LmfaoEngine,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl Engine for FailAfterMaintain {
+        fn name(&self) -> &'static str {
+            "fail-after-maintain"
+        }
+
+        fn run(&self, db: &Database, q: &AggQuery) -> Result<BatchResult, DataError> {
+            self.inner.run(db, q)
+        }
+    }
+
+    impl MaintainableEngine for FailAfterMaintain {
+        fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
+            self.inner.prepare(db, q)
+        }
+
+        fn apply_delta_kind(
+            &self,
+            st: &mut MaintState,
+            delta: &Delta,
+        ) -> Result<BatchResult, DataError> {
+            let r = self.inner.apply_delta_kind(st, delta)?;
+            if self.armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                return Err(DataError::Invalid("rejected after maintenance".into()));
+            }
+            Ok(r)
+        }
+    }
+
+    /// A delta rejected after its maintenance ran rolls back to the exact
+    /// pre-delta epoch, and the rebuilt structure holds no relation: the
+    /// next deltas maintain in place and agree with cold runs.
+    #[test]
+    fn rejected_delta_rebuilds_without_holding_relations() {
+        let db = snowflake();
+        let q = query();
+        let engine = FailAfterMaintain {
+            inner: LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() }),
+            armed: false.into(),
+        };
+        let mut st = engine.prepare(&db, &q).unwrap();
+        let mut shadow = db.clone();
+        let frow = |a: i64, x: f64| {
+            vec![Value::Int(a), Value::Int(1), Value::Int((a + 1) % 3), Value::F64(x)]
+        };
+        // One good delta per relation first: each then has no holder
+        // besides the state's database (and the shadow holds its own copy).
+        for good in [
+            Delta::insert("F", frow(0, 3.0)),
+            Delta::insert("D2", vec![Value::Int(1), Value::F64(4.0)]),
+        ] {
+            engine.apply_delta(&mut st, &good).unwrap();
+            shadow.apply_delta(&good).unwrap();
+        }
+        for (i, bad) in [
+            Delta::insert("F", frow(2, 5.0)),
+            Delta::delete("D2", vec![Value::Int(0), Value::F64(2.0)]),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let (epoch, id) = (st.epoch(), st.database().get(&bad.relation).unwrap().data_id());
+            engine.armed.store(true, std::sync::atomic::Ordering::Relaxed);
+            assert!(engine.apply_delta(&mut st, bad).is_err(), "bad {i} must be rejected");
+            assert_eq!(st.epoch(), epoch, "bad {i}: epoch restored");
+            assert_eq!(
+                st.database().get(&bad.relation).unwrap(),
+                shadow.get(&bad.relation).unwrap()
+            );
+            assert_eq!(st.database().get(&bad.relation).unwrap().data_id(), id, "bad {i}: id");
+            assert!(!st.is_recompute(), "bad {i}: the rebuild keeps maintaining");
+            assert_eq!(
+                held(&st, &bad.relation),
+                2,
+                "bad {i}: the rebuild holds `{}`",
+                bad.relation
+            );
+            let cold = FlatEngine.run(&shadow, &q).unwrap();
+            assert_same(
+                &format!("bad {i} eval"),
+                &engine.eval(&mut st).unwrap(),
+                &cold,
+                q.batch.len(),
+            );
+            // And the same delta then applies in place.
+            let got = engine.apply_delta(&mut st, bad).unwrap();
+            shadow.apply_delta(bad).unwrap();
+            let cold = FlatEngine.run(&shadow, &q).unwrap();
+            assert_same(&format!("bad {i} reapplied"), &got, &cold, q.batch.len());
+            assert_eq!(held(&st, &bad.relation), 2, "bad {i} reapplied: `{}` held", bad.relation);
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::exec::{compute_node, CacheCtx};
 use crate::plan::{Plan, ViewData};
-use fdb_data::{fault, DataError};
+use fdb_data::{fault, DataError, Relation};
 use std::sync::Arc;
 
 /// Engine feature toggles (all on by default).
@@ -80,14 +80,16 @@ pub(crate) fn merge_view_data(a: &mut [ViewData], b: Vec<ViewData>) {
     }
 }
 
-/// Task parallelism: computes the root's child subtrees as work units
-/// pulled by at most `cfg.threads` workers. `to_compute` is the bottom-up
+/// Task parallelism: computes the root's child subtrees over their
+/// relations `rels` (in node order) as work units pulled by at most
+/// `cfg.threads` workers. `to_compute` is the bottom-up
 /// order minus the root and minus any cache-served nodes; already-served
 /// entries in `data` (and each unit's own results) are visible to
 /// dependent nodes, and every computed node is offered to the view cache
 /// via `ctx`.
 pub(crate) fn compute_subtrees_parallel(
     plan: &Plan,
+    rels: &[&Relation],
     to_compute: &[usize],
     data: &mut [Option<Arc<Vec<ViewData>>>],
     cfg: &EngineConfig,
@@ -106,7 +108,7 @@ pub(crate) fn compute_subtrees_parallel(
         let mut out = Vec::with_capacity(partitions[i].len());
         for &n in &partitions[i] {
             fault::check("morsel-exec")?;
-            let views = Arc::new(compute_node(plan, n, &local, cfg, 0..plan.rels[n].len()));
+            let views = Arc::new(compute_node(plan, n, rels[n], &local, cfg, 0..rels[n].len()));
             if let Some(ctx) = ctx {
                 ctx.admit(n, &views);
             }
@@ -123,24 +125,25 @@ pub(crate) fn compute_subtrees_parallel(
     Ok(())
 }
 
-/// Domain parallelism: computes the root node over `root_rows` rows split
-/// into morsel-sized chunks pulled by `cfg.threads` workers from a shared
-/// queue (see [`crate::morsel`]), then combines the per-morsel view
+/// Domain parallelism: computes the root node over its relation `root`
+/// split into morsel-sized chunks pulled by `cfg.threads` workers from a
+/// shared queue (see [`crate::morsel`]), then combines the per-morsel view
 /// partials with a pairwise tree merge ([`crate::morsel::tree_merge`]) on
 /// the same workers. The merge tree depends only on the morsel order
 /// (never the thread schedule), so the summation stays deterministic.
 pub(crate) fn compute_root_chunked(
     plan: &Plan,
+    root: &Relation,
     data: &[Option<Arc<Vec<ViewData>>>],
     cfg: &EngineConfig,
-    root_rows: usize,
 ) -> Result<Vec<ViewData>, DataError> {
+    let root_rows = root.len();
     let morsels =
         crate::morsel::plan_morsels(root_rows, cfg.morsel_rows, cfg.threads.min(root_rows));
     let partials =
         crate::morsel::run_stealing(morsels.len(), cfg.threads, |i| -> Result<_, DataError> {
             fault::check("morsel-exec")?;
-            Ok(compute_node(plan, plan.root, data, cfg, morsels[i].clone()))
+            Ok(compute_node(plan, plan.root, root, data, cfg, morsels[i].clone()))
         })?;
     let partials: Vec<Vec<ViewData>> = partials.into_iter().collect::<Result<_, DataError>>()?;
     let acc = crate::morsel::tree_merge(partials, cfg.threads, |a, b| {

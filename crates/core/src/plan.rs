@@ -14,7 +14,6 @@ use crate::group::{GroupIndex, KeySpace, DENSE_GROUP_BYTES, DENSE_KEY_LIMIT};
 use fdb_data::{DataError, Database, Relation};
 use fdb_factorized::hypergraph::Hypergraph;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// One partial aggregate inside a view: local factors, local filter, and
 /// the child-view slots it multiplies in.
@@ -229,11 +228,20 @@ impl ViewData {
         }
     }
 
-    /// Whether this view's key is represented under join key `key` —
-    /// the delta path's "does this parent row touch the delta" probe.
-    #[inline]
-    pub(crate) fn contains_key(&self, key: &[i64]) -> bool {
-        self.get(key).is_some()
+    /// Calls `f` with every join key this view holds an entry under —
+    /// the changed keys of a delta view, which the maintenance path
+    /// matches its parent's rows against.
+    pub(crate) fn for_each_key(&self, mut f: impl FnMut(&[i64])) {
+        match self {
+            ViewData::Dense { space, entries, .. } => {
+                let mut key = Vec::with_capacity(space.arity());
+                for &(code, _) in entries {
+                    space.decode(code as u64, &mut key);
+                    f(&key);
+                }
+            }
+            ViewData::Hash(map) => map.keys().for_each(|k| f(k)),
+        }
     }
 
     /// Multiplies every payload by `factor` (delta negation for deletes).
@@ -318,12 +326,15 @@ impl ViewData {
 
 /// The full batch plan: join tree, node plans, and attribute ownership.
 ///
-/// Relations are held as shared handles (`Arc`), not borrows, so a plan
-/// can outlive the `Database` it was built from — the delta-maintenance
-/// state keeps its prepare-time plan across `apply_delta` calls,
-/// refreshing only the updated relation's handle.
+/// A plan holds no relation, only each node's content id, so it can
+/// outlive the `Database` it was built from without keeping any table
+/// alive: the delta-maintenance state keeps its prepare-time plan across
+/// `apply_delta` calls, bumping only the updated relation's id. Whoever
+/// scans a node passes its rows in, from the database it borrows.
 pub(crate) struct Plan {
-    pub(crate) rels: Vec<Arc<Relation>>,
+    /// Per node: the [`Relation::data_id`] its views are computed from —
+    /// the content identity embedded in the node's signature.
+    pub(crate) ids: Vec<u64>,
     pub(crate) nodes: Vec<NodePlan>,
     /// Bottom-up processing order (children before parents).
     pub(crate) order: Vec<usize>,
@@ -332,6 +343,18 @@ pub(crate) struct Plan {
     pub(crate) owner: HashMap<String, (usize, usize)>,
     /// Per node: the set of nodes in its subtree.
     pub(crate) subtree: Vec<HashSet<usize>>,
+    /// Per node: the id-free part of its signature — dense budget, key
+    /// columns, views and slots — formatted once by [`Plan::finalize`].
+    bodies: Vec<String>,
+}
+
+/// The relations `names` of `db`, in order — the rows a plan over those
+/// names scans, node by node.
+pub(crate) fn relations<'d>(
+    db: &'d Database,
+    names: &[&str],
+) -> Result<Vec<&'d Relation>, DataError> {
+    names.iter().map(|r| db.get(r)).collect()
 }
 
 impl Plan {
@@ -353,8 +376,7 @@ impl Plan {
         let hg = Hypergraph::join_keys_plus(db, relations, &[])?;
         let jt =
             hg.join_tree().ok_or_else(|| DataError::Invalid("cyclic join key graph".into()))?;
-        let rels: Vec<Arc<Relation>> =
-            relations.iter().map(|r| db.get_shared(r)).collect::<Result<_, _>>()?;
+        let rels = self::relations(db, relations)?;
         // Root at the largest relation (the fact table) unless pinned.
         let root = match root {
             Some(r) if r < rels.len() => r,
@@ -423,7 +445,8 @@ impl Plan {
                 subtree[p].extend(s);
             }
         }
-        Ok(Plan { rels, nodes, order, root, owner, subtree })
+        let ids = rels.iter().map(|r| r.data_id()).collect();
+        Ok(Plan { ids, nodes, order, root, owner, subtree, bodies: Vec::new() })
     }
 
     /// Resolves an aggregate attribute, erroring on join keys / unknowns.
@@ -591,12 +614,12 @@ impl Plan {
     /// therefore serializes that subtree identically — its views are the
     /// residue untouched by the new conditions, and only path-to-root
     /// nodes get fresh signatures (and fresh scans).
-    pub(crate) fn subtree_signatures(&self, dense_limit: u64) -> Vec<String> {
+    pub(crate) fn subtree_signatures(&self) -> Vec<String> {
         let mut sigs: Vec<String> = vec![String::new(); self.nodes.len()];
         // Bottom-up: children's signatures exist before the parent embeds
         // them.
         for &n in &self.order {
-            sigs[n] = self.node_signature(n, dense_limit, &sigs);
+            sigs[n] = self.node_signature(n, &sigs);
         }
         sigs
     }
@@ -606,12 +629,29 @@ impl Plan {
     /// delta changes only the owner→root path's signatures (off-path
     /// subtrees exclude the mutated relation), so the maintenance layer
     /// recomputes exactly those entries against its cached vector instead
-    /// of re-serializing the whole plan per delta.
-    pub(crate) fn node_signature(&self, n: usize, dense_limit: u64, sigs: &[String]) -> String {
+    /// of re-serializing the whole plan per delta. Only the content id is
+    /// formatted here; the rest of the node's own part was formatted once
+    /// by [`Plan::finalize`].
+    pub(crate) fn node_signature(&self, n: usize, sigs: &[String]) -> String {
+        use std::fmt::Write as _;
+        let np = &self.nodes[n];
+        let body = &self.bodies[n];
+        let mut s = String::with_capacity(24 + body.len());
+        let _ = write!(s, "r{};", self.ids[n]);
+        s.push_str(body);
+        for (&c, cols) in np.children.iter().zip(&np.child_key_cols) {
+            let _ = write!(s, "C{cols:?}[{}]", sigs[c]);
+        }
+        s
+    }
+
+    /// The id-free signature part of node `n`: everything its views depend
+    /// on besides the relation content and the children's subtrees.
+    fn body(&self, n: usize, dense_limit: u64) -> String {
         use std::fmt::Write as _;
         let np = &self.nodes[n];
         let mut s = String::new();
-        let _ = write!(s, "r{};d{dense_limit};k{:?};", self.rels[n].data_id(), np.key_cols);
+        let _ = write!(s, "d{dense_limit};k{:?};", np.key_cols);
         for vp in &np.views {
             let _ =
                 write!(s, "V[g{:?};l{:?};w{:?};", vp.group_attrs, vp.local_groups, vp.child_views);
@@ -619,9 +659,6 @@ impl Plan {
                 let _ = write!(s, "s{:?}.{:?}.{:?};", slot.factors, slot.filter, slot.child_slots);
             }
             s.push(']');
-        }
-        for (&c, cols) in np.children.iter().zip(&np.child_key_cols) {
-            let _ = write!(s, "C{cols:?}[{}]", sigs[c]);
         }
         s
     }
@@ -639,16 +676,17 @@ impl Plan {
     ///   range.
     ///
     /// `dense_limit == 0` disables both dense paths (the Figure 6 hash
-    /// baseline).
-    pub(crate) fn finalize(&mut self, dense_limit: u64) {
+    /// baseline). `rels` are the node relations the plan was built from,
+    /// in node order. Also formats every node's signature body.
+    pub(crate) fn finalize(&mut self, rels: &[&Relation], dense_limit: u64) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let ranges: Option<Vec<(i64, i64)>> =
-                node.key_cols.iter().map(|&c| self.rels[i].int_min_max(c)).collect();
+                node.key_cols.iter().map(|&c| rels[i].int_min_max(c)).collect();
             // The slot table costs 4 bytes per code *per view*, so besides
             // the absolute cap the space must be within a constant factor
             // of the relation's cardinality — a handful of rows with keys
             // scattered over a huge range hashes instead.
-            let key_limit = DENSE_KEY_LIMIT.min(64 * self.rels[i].len() as u64 + 1024);
+            let key_limit = DENSE_KEY_LIMIT.min(64 * rels[i].len() as u64 + 1024);
             node.key_space = match (dense_limit, ranges) {
                 (0, _) | (_, None) => None,
                 (_, Some(r)) => KeySpace::new(&r, key_limit),
@@ -660,7 +698,7 @@ impl Plan {
                     .iter()
                     .map(|g| {
                         let (n, c) = self.owner[g];
-                        self.rels[n].int_min_max(c)
+                        rels[n].int_min_max(c)
                     })
                     .collect();
                 // The byte bound also keeps every code inside the `u32`
@@ -671,6 +709,7 @@ impl Plan {
                 view.spec.space = ranges.and_then(|r| KeySpace::new(&r, group_limit));
             }
         }
+        self.bodies = (0..self.nodes.len()).map(|n| self.body(n, dense_limit)).collect();
     }
 }
 
@@ -740,7 +779,7 @@ mod tests {
         for (i, agg) in batch.aggs.iter().enumerate() {
             plan.decompose(agg, i, root, true).unwrap();
         }
-        plan.finalize(u64::MAX);
+        plan.finalize(&relations(&db, &["F"]).unwrap(), u64::MAX);
         let view = &plan.nodes[root].views[0];
         assert_eq!(view.slots.len(), 64);
         assert_eq!(view.spec.space, None, "2^27 codes x 64 slots exceeds the byte bound");
@@ -773,12 +812,12 @@ mod tests {
             for (i, agg) in batch.aggs.iter().enumerate() {
                 plan.decompose(agg, i, root, true).unwrap();
             }
-            plan.finalize(1024);
+            plan.finalize(&relations(&db, &rels).unwrap(), 1024);
             plan
         };
         let a = build(5.0);
         let b = build(15.0);
-        let (sa, sb) = (a.subtree_signatures(1024), b.subtree_signatures(1024));
+        let (sa, sb) = (a.subtree_signatures(), b.subtree_signatures());
         let item = a.owner["prize"].0;
         let mut changed = 0;
         for n in 0..sa.len() {
@@ -793,7 +832,7 @@ mod tests {
         assert!(changed < sa.len(), "some subtree must be residual");
         // Same batch, same data → identical signatures throughout.
         let c = build(5.0);
-        assert_eq!(sa, c.subtree_signatures(1024));
+        assert_eq!(sa, c.subtree_signatures());
         // A mutated relation refreshes every signature that covers it.
         let mut db2 = db;
         let row = db2.get("Weather").unwrap().row_vec(0);
@@ -808,13 +847,24 @@ mod tests {
         for (i, agg) in batch.aggs.iter().enumerate() {
             plan2.decompose(agg, i, root2, true).unwrap();
         }
-        plan2.finalize(1024);
-        let s2 = plan2.subtree_signatures(1024);
+        plan2.finalize(&relations(&db2, &rels2).unwrap(), 1024);
+        let s2 = plan2.subtree_signatures();
         let weather = plan2.owner["rain"].0;
         for n in 0..s2.len() {
             if plan2.subtree[n].contains(&weather) {
                 assert_ne!(s2[n], sa[n], "node {n} covers the mutated relation");
             }
         }
+        // The maintenance path's keys: bumping only the mutated relation's
+        // id and re-signing its path reproduces the cold plan byte for byte.
+        let mut a = a;
+        a.ids[weather] = db2.get("Weather").unwrap().data_id();
+        let mut inc = sa;
+        for &n in &a.order {
+            if a.subtree[n].contains(&weather) {
+                inc[n] = a.node_signature(n, &inc);
+            }
+        }
+        assert_eq!(inc, s2);
     }
 }

@@ -64,6 +64,16 @@ fn check_stream(db: &Database, q: &AggQuery, deltas: &[Delta]) {
                 q.batch.len(),
                 1e-6,
             );
+            // The maintained structure holds no relation between deltas:
+            // the updated one is owned by the state's database and this
+            // probe's handle only, so the next commit appends in place.
+            let held = st.database().get_shared(&d.relation).expect("updated relation");
+            assert_eq!(
+                std::sync::Arc::strong_count(&held),
+                2,
+                "{name} delta {step}: `{}` has a holder besides the state's database",
+                d.relation
+            );
             let own = e.run(&shadow, q).unwrap_or_else(|err| panic!("{name}: cold {step}: {err}"));
             common::assert_results_match(
                 &cold,
@@ -110,6 +120,8 @@ fn retailer_stream_agrees_across_all_engines() {
     );
     let fact = ds.db.get("Inventory").unwrap();
     let item = ds.db.get("Item").unwrap();
+    let weather = ds.db.get("Weather").unwrap();
+    let census = ds.db.get("Census").unwrap();
     let deltas = vec![
         // Fact inserts (duplicated existing rows stay within every range).
         Delta::insert("Inventory", fact.row_vec(0)),
@@ -120,6 +132,12 @@ fn retailer_stream_agrees_across_all_engines() {
         // Dimension churn: delete + reinsert an Item row.
         Delta::delete("Item", item.row_vec(0)),
         Delta::insert("Item", item.row_vec(0)),
+        // Weather joins the fact on the composite key (locn, dateid).
+        Delta::delete("Weather", weather.row_vec(0)),
+        Delta::insert("Weather", weather.row_vec(0)),
+        // Census's path takes two steps: Census -> Location -> Inventory.
+        Delta::delete("Census", census.row_vec(0)),
+        Delta::insert("Census", census.row_vec(0)),
     ];
     check_stream(&ds.db, &q, &deltas);
 }

@@ -528,6 +528,64 @@ mod chaos {
         common::assert_results_match(&cold, &got, "post-rollback reapply", q.batch.len(), 1e-9);
     }
 
+    /// The maintained structure holds no relation handle, so rollback
+    /// cannot lean on one: a `delta-commit` fault on a 1-row fact insert
+    /// (the commit rolls back before maintenance runs) and a
+    /// `maintain-view` fault midway up a dimension delta's path (the
+    /// wrapper rebuilds from the restored database) both restore the
+    /// epoch bit-exactly — rows, `data_id`s and the epoch counter — and
+    /// the next delta is maintained in place and agrees with a cold run.
+    #[test]
+    fn rollback_is_exact_without_a_held_relation() {
+        let _guard = fault_lock();
+        let db = snowflake(6);
+        let q = query();
+        let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
+        fault::mute(true);
+        let mut st = engine.prepare(&db, &q).unwrap();
+        fault::mute(false);
+        let mut shadow = db.clone();
+        let cases = [
+            ("delta-commit", 1, Delta::insert("F", frow(1, 0, 2.0))),
+            // The second `maintain-view` occurrence is the root step: the
+            // owner's views are already merged when it fires.
+            (
+                "maintain-view",
+                2,
+                Delta::insert("D1", vec![Value::Int(2), Value::Int(0), Value::F64(1.0)]),
+            ),
+        ];
+        for (site, nth, d) in cases {
+            let (before, before_epoch) = (epoch(st.database()), st.epoch());
+            fault::install(FaultPlan::new(7).fail_at(site, nth));
+            let err = engine.apply_delta(&mut st, &d).unwrap_err();
+            fault::clear();
+            assert!(matches!(err, DataError::Injected(_)), "{site}: got {err:?}");
+            assert_epoch(site, st.database(), &before);
+            assert_eq!(st.epoch(), before_epoch, "{site}: epoch counter restored");
+            let cold = FlatEngine.run(&shadow, &q).unwrap();
+            let eval = engine.eval(&mut st).unwrap();
+            common::assert_results_match(&cold, &eval, site, q.batch.len(), 1e-9);
+            // The next delta is folded in along the path, not rebuilt.
+            let maintained = fdb::lmfao::ViewCache::global().stats().views_maintained;
+            let got = engine.apply_delta(&mut st, &d).unwrap();
+            assert!(
+                fdb::lmfao::ViewCache::global().stats().views_maintained > maintained,
+                "{site}: the retried delta must be maintained in place"
+            );
+            assert!(!st.is_recompute(), "{site}: still maintaining");
+            shadow.apply_delta(&d).unwrap();
+            let cold = FlatEngine.run(&shadow, &q).unwrap();
+            common::assert_results_match(
+                &cold,
+                &got,
+                &format!("{site} retry"),
+                q.batch.len(),
+                1e-9,
+            );
+        }
+    }
+
     /// CSV ingest faults surface as clean typed errors (never panics —
     /// the site demotes), and hit accounting tracks them.
     #[test]

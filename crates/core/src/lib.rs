@@ -41,10 +41,9 @@
 //!   otherwise).
 //! * [`serve`] + [`frontdoor`] — epoch-based concurrent serving
 //!   ([`ServingEngine`]: snapshot readers under a single transactional
-//!   writer) and the resilient admission layer over it ([`FrontDoor`]:
-//!   bounded write queue with backpressure policies, group-commit
-//!   coalescing, deterministic retry/backoff, and a circuit breaker that
-//!   degrades to recompute mode and probes recovery).
+//!   writer) and the admission layer over it ([`FrontDoor`]: bounded
+//!   write queue with a per-submit deadline, group commit, and a bounded
+//!   retry of transient failures).
 //! * [`viewcache`] — the cross-batch [`ViewCache`]: materialized per-node
 //!   views memoized across `Engine::run` calls, keyed on canonical
 //!   subtree plan signatures plus relation content ids; iterative
@@ -77,7 +76,7 @@ pub use batch::{AggBatch, Aggregate, FilterOp, Fn1};
 pub use batchgen::{covariance_batch, decision_node_batch, kmeans_batch, mutual_info_batch};
 pub use classical::{eval_agg, eval_agg_batch, AggResult, ScanQuery};
 pub use dispatch::{DispatchEngine, EngineChoice};
-pub use frontdoor::{Backpressure, BreakerState, FrontDoor, FrontDoorConfig};
+pub use frontdoor::{FrontDoor, FrontDoorConfig};
 pub use group::{GroupIndex, KeySpace};
 pub use ir::{AggQuery, BatchResult};
 pub use maintain::{CustomMaint, MaintState, MaintainableEngine};

@@ -127,11 +127,9 @@ impl MaintState {
     }
 
     /// True when this state carries no maintained structure and every
-    /// delta recomputes via [`Engine::run`](crate::Engine::run) — i.e. the
-    /// state is degraded (or was prepared degraded). The serving front
-    /// door's circuit breaker uses this to tell the degraded path from
-    /// the incremental one; flaky-engine test doubles use it to fail only
-    /// incremental maintenance while recompute keeps working.
+    /// delta recomputes via [`Engine::run`](crate::Engine::run): the
+    /// engine has no incremental path for the query, or the wrapper's
+    /// re-prepare after a failed delta failed too.
     pub fn is_recompute(&self) -> bool {
         self.maint.is_none()
     }
@@ -157,7 +155,7 @@ impl MaintState {
 /// admitted to the [`ViewCache`] under rolled-back content ids are
 /// invalidated, and the maintained structure is rebuilt from the
 /// restored database (degrading to recompute-per-delta if even the
-/// rebuild fails). Callers see `Err` and a state equivalent to the last
+/// rebuild fails or panics). Callers see `Err` and a state equivalent to the last
 /// good epoch — never a half-applied one.
 pub trait MaintainableEngine: Engine {
     /// Pays the one-shot evaluation cost and returns the maintained state.
@@ -190,10 +188,13 @@ pub trait MaintainableEngine: Engine {
                 // restored database. Rare — genuine (non-injected)
                 // maintenance failures past the database commit are
                 // exceptional — so the O(data) rebuild is the error
-                // path's price, not the hot path's.
-                match self.prepare(&st.db, &st.q) {
-                    Ok(fresh) => *st = fresh,
-                    Err(_) => st.maint = None,
+                // path's price, not the hot path's. The rebuild is
+                // contained like the maintenance it replaces: a panicking
+                // `prepare` degrades to recompute instead of unwinding
+                // into the caller (a serving writer thread included).
+                match crate::morsel::contain(|| self.prepare(&st.db, &st.q)) {
+                    Ok(Ok(fresh)) => *st = fresh,
+                    _ => st.maint = None,
                 }
                 Err(e)
             }

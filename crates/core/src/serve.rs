@@ -104,26 +104,16 @@ pub struct ServingStats {
     pub coalesced: u64,
     /// Merged batches committed and published (one epoch each).
     pub batches_committed: u64,
-    /// Merged batches dropped after rollback (permanent error, or
-    /// transient retries exhausted with the degraded path failing too).
+    /// Merged batches dropped after rollback (permanent error, or a
+    /// transient one that outlasted the retries).
     pub batches_failed: u64,
-    /// Submits refused with [`DataError::Overloaded`] (full queue under
-    /// the `Reject` policy, or an injected `queue-admit` fault).
+    /// Submits refused at admission by an injected `queue-admit` fault.
     pub rejected: u64,
-    /// Submits that hit their deadline ([`DataError::Timeout`]) while
-    /// blocked on a full queue.
+    /// Submits that hit their deadline ([`DataError::Timeout`]) on a full
+    /// queue.
     pub timed_out: u64,
-    /// Queued deltas dropped unapplied by the `ShedOldest` policy.
-    pub shed: u64,
     /// Retry attempts after transient batch failures.
     pub retries: u64,
-    /// Circuit-breaker trips (degradations to recompute mode).
-    pub breaker_trips: u64,
-    /// Half-open probes (attempts to re-prepare the incremental state).
-    pub breaker_probes: u64,
-    /// Successful recoveries (probe re-prepared and the next batch
-    /// committed incrementally).
-    pub breaker_recoveries: u64,
 }
 
 /// The concurrent front door: `N` reader threads share one
@@ -271,36 +261,6 @@ impl<E: MaintainableEngine> ServingEngine<E> {
         }
     }
 
-    /// Swaps the writer's maintained state for a recompute-per-delta one
-    /// over the same maintained database — the circuit breaker's
-    /// degradation: subsequent deltas skip the (failing) incremental
-    /// machinery entirely and recompute via [`Engine::run`](crate::Engine::run),
-    /// still transactionally and still publishing one epoch per success.
-    pub fn degrade_to_recompute(&self) {
-        let mut st = self.writer_lock();
-        let (db, q) = (st.database().clone(), st.query().clone());
-        *st = MaintState::recompute(db, q);
-    }
-
-    /// Attempts to re-prepare the full incremental state from the current
-    /// maintained database — the breaker's half-open probe (and the same
-    /// re-prepare path the transactional wrapper uses after a rollback).
-    /// On failure the existing state is kept untouched.
-    pub fn promote(&self) -> Result<(), DataError> {
-        let mut st = self.writer_lock();
-        let fresh = self.engine.prepare(st.database(), &self.q)?;
-        *st = fresh;
-        Ok(())
-    }
-
-    /// True while the writer state is the degraded recompute-per-delta
-    /// one (see [`ServingEngine::degrade_to_recompute`]). An engine
-    /// without an incremental path — flat, or dispatch on a join it
-    /// serves flat — recomputes from the start, so this reads true.
-    pub fn is_degraded(&self) -> bool {
-        self.writer_lock().is_recompute()
-    }
-
     /// Activity counters (lock-free). The front-door fields stay zero
     /// here; [`FrontDoor::stats`](crate::frontdoor::FrontDoor::stats)
     /// fills them in.
@@ -316,25 +276,25 @@ impl<E: MaintainableEngine> ServingEngine<E> {
 
     /// Locks the writer state, recovering from poisoning instead of
     /// panicking. A poisoned writer mutex means a panic escaped while the
-    /// maintained state was held mutably — e.g. an engine's `prepare`
-    /// panicking in [`ServingEngine::promote`], outside the contained
-    /// maintenance path — so the incremental structures may be
+    /// maintained state was held mutably — e.g. from an engine that
+    /// overrides [`MaintainableEngine::apply_delta`] and so bypasses the
+    /// wrapper's containment — so the incremental structures may be
     /// half-updated. Trusting them would risk serving wrong results, so
-    /// this degrades exactly like the transactional wrapper does after a
-    /// failed re-prepare: rebuild the
-    /// state from its own (epoch-consistent) database via `prepare`,
-    /// falling back to recompute-per-delta if even that fails, then clear
-    /// the poison flag. The published snapshot is untouched either way —
-    /// readers never observe the recovery.
+    /// this recovers exactly like the transactional wrapper does after a
+    /// failed delta: rebuild the state from its own (epoch-consistent)
+    /// database via `prepare`, falling back to recompute-per-delta if even
+    /// that fails or panics, then clear the poison flag. The published
+    /// snapshot is untouched either way — readers never observe the
+    /// recovery.
     fn writer_lock(&self) -> MutexGuard<'_, MaintState> {
         match self.writer.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
                 let (db, q) = (guard.database().clone(), guard.query().clone());
-                *guard = match self.engine.prepare(&db, &q) {
-                    Ok(fresh) => fresh,
-                    Err(_) => MaintState::recompute(db, q),
+                *guard = match crate::morsel::contain(|| self.engine.prepare(&db, &q)) {
+                    Ok(Ok(fresh)) => fresh,
+                    _ => MaintState::recompute(db, q),
                 };
                 self.writer.clear_poison();
                 guard
@@ -587,56 +547,72 @@ mod tests {
         }
     }
 
-    /// An engine whose `prepare` panics once when armed — after `new`, so
-    /// the panic comes from [`ServingEngine::promote`] while the writer
-    /// mutex is held mutably: the poisoning scenario `writer_lock`
-    /// recovers from.
-    struct PanickyPrepare {
+    /// An engine that overrides the transactional wrapper and panics in
+    /// it once when armed, while the writer mutex is held mutably: the
+    /// poisoning scenario `writer_lock` recovers from. Counts `prepare`
+    /// calls so the test can see the recovery re-prepare.
+    struct PanickyApply {
         armed: std::sync::atomic::AtomicBool,
+        prepares: AtomicU64,
     }
 
-    impl Engine for PanickyPrepare {
+    impl Engine for PanickyApply {
         fn name(&self) -> &'static str {
-            "panicky-prepare"
+            "panicky-apply"
         }
         fn run(&self, db: &Database, q: &AggQuery) -> Result<BatchResult, DataError> {
             FlatEngine.run(db, q)
         }
     }
 
-    impl crate::maintain::MaintainableEngine for PanickyPrepare {
+    impl MaintainableEngine for PanickyApply {
         fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                panic!("prepare panic while holding the writer state");
-            }
+            self.prepares.fetch_add(1, Ordering::SeqCst);
             FlatEngine.prepare(db, q)
+        }
+        fn apply_delta(
+            &self,
+            st: &mut MaintState,
+            delta: &Delta,
+        ) -> Result<BatchResult, DataError> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("apply_delta panic while holding the writer state");
+            }
+            FlatEngine.apply_delta(st, delta)
         }
     }
 
     #[test]
     fn poisoned_writer_mutex_degrades_to_reprepare_instead_of_panicking() {
         let serving = ServingEngine::new(
-            PanickyPrepare { armed: std::sync::atomic::AtomicBool::new(false) },
+            PanickyApply {
+                armed: std::sync::atomic::AtomicBool::new(true),
+                prepares: AtomicU64::new(0),
+            },
             &db(),
             &sum_query(),
         )
         .unwrap();
         let e0 = serving.epoch();
-        serving.engine().armed.store(true, Ordering::SeqCst);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serving.promote()));
-        assert!(panicked.is_err(), "the armed prepare must escape as a panic");
+        let d = |k: i64| Delta::insert("R", vec![Value::Int(k), Value::F64(k as f64)]);
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| serving.apply_delta(&d(4))));
+        assert!(panicked.is_err(), "the armed apply_delta must escape as a panic");
         // Poison recovery never publishes.
         assert_eq!(serving.epoch(), e0);
         assert_eq!(serving.query().unwrap().1.scalar(0), 6.0);
+        assert_eq!(serving.engine().prepares.load(Ordering::SeqCst), 1);
 
-        // The writer mutex is now poisoned. Every writer-side entry point
-        // must recover (re-prepare from the maintained database) rather
-        // than panic, and the stream must keep its exactness.
-        serving.apply_delta(&Delta::insert("R", vec![Value::Int(4), Value::F64(4.0)])).unwrap();
+        // The writer mutex is now poisoned. The next writer-side call must
+        // recover (re-prepare from the maintained database) rather than
+        // panic, and the stream must keep its exactness.
+        serving.apply_delta(&d(4)).unwrap();
+        assert_eq!(serving.engine().prepares.load(Ordering::SeqCst), 2, "recovery re-prepared");
         assert_eq!(serving.epoch(), e0 + 1);
         assert_eq!(serving.query().unwrap().1.scalar(0), 10.0);
-        serving.promote().unwrap();
-        assert_eq!(serving.query().unwrap().1.scalar(0), 10.0);
+        serving.apply_delta(&d(5)).unwrap();
+        assert_eq!(serving.engine().prepares.load(Ordering::SeqCst), 2, "healed: no more rebuilds");
+        assert_eq!(serving.query().unwrap().1.scalar(0), 15.0);
     }
 
     #[test]

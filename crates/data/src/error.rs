@@ -6,8 +6,8 @@ use std::fmt;
 /// and the serving front door.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches must carry a wildcard
-/// arm, so future robustness variants (like `Overloaded` and `Timeout`,
-/// added for the front door) are not breaking changes.
+/// arm, so future robustness variants (like `Timeout`, added for the
+/// front door) are not breaking changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DataError {
@@ -34,13 +34,6 @@ pub enum DataError {
     /// A fault injected at the named site (`fdb_data::fault`; only raised
     /// with the `fault-injection` feature on and a plan installed).
     Injected(String),
-    /// The serving front door's bounded delta queue was full and the
-    /// backpressure policy rejects rather than blocks or sheds. The
-    /// submitted delta was **not** enqueued and will never publish.
-    Overloaded {
-        /// The queue capacity that was exhausted.
-        capacity: usize,
-    },
     /// A blocking submit waited past its deadline for queue space. The
     /// submitted delta was **not** enqueued and will never publish.
     Timeout {
@@ -66,9 +59,6 @@ impl fmt::Display for DataError {
             DataError::Invalid(m) => write!(f, "invalid: {m}"),
             DataError::WorkerPanic(m) => write!(f, "worker panicked: {m}"),
             DataError::Injected(site) => write!(f, "injected fault at `{site}`"),
-            DataError::Overloaded { capacity } => {
-                write!(f, "overloaded: delta queue full at capacity {capacity}")
-            }
             DataError::Timeout { waited_ms } => {
                 write!(f, "submit timed out after {waited_ms} ms waiting for queue space")
             }
@@ -102,7 +92,6 @@ mod tests {
         assert!(e.to_string().contains("price"));
         assert!(DataError::UnknownRelation("R".into()).to_string().contains("R"));
         assert!(DataError::Csv { line: 7, message: "bad".into() }.to_string().contains("7"));
-        assert!(DataError::Overloaded { capacity: 8 }.to_string().contains("8"));
         assert!(DataError::Timeout { waited_ms: 250 }.to_string().contains("250"));
     }
 
@@ -122,7 +111,6 @@ mod tests {
             DataError::Invalid("m".into()),
             DataError::WorkerPanic("m".into()),
             DataError::Injected("site".into()),
-            DataError::Overloaded { capacity: 4 },
             DataError::Timeout { waited_ms: 10 },
         ];
         for e in &all {
@@ -137,7 +125,6 @@ mod tests {
                 | DataError::Invalid(_)
                 | DataError::WorkerPanic(_)
                 | DataError::Injected(_)
-                | DataError::Overloaded { .. }
                 | DataError::Timeout { .. } => {}
             }
         }

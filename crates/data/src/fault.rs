@@ -27,8 +27,7 @@
 //! `cache-evict` (sort cache), `morsel-exec` (parallel workers),
 //! `maintain-view` / `maintain-publish` (incremental maintenance in
 //! `fdb-core`), and the serving front door's `queue-admit` /
-//! `writer-drain` / `breaker-trip` (admission, batch drain, and a forced
-//! circuit-breaker trip).
+//! `writer-drain` (admission and batch drain).
 
 #[cfg(feature = "fault-injection")]
 use crate::error::DataError;

@@ -1,20 +1,19 @@
-//! The resilient serving front door (§1.5 "keeping models fresh", write
-//! side): a bounded admission queue with backpressure in front of the
-//! epoch-based [`ServingEngine`], plus a circuit breaker that keeps
-//! epochs flowing — degraded to recompute mode — when the incremental
-//! maintenance path starts failing, and probes its way back.
+//! The serving front door (§1.5 "keeping models fresh", write side): a
+//! bounded admission queue in front of the epoch-based [`ServingEngine`],
+//! a writer thread that group-commits what accumulated, and a bounded
+//! retry of transient failures. Recovery from a failed attempt is the
+//! maintenance wrapper's own rollback and re-prepare.
 //!
 //! Two acts:
 //!
-//! 1. **Backpressure + group commit** — producers race a 4-slot queue
-//!    under the `Reject` policy; overflow submits fail fast with
-//!    `DataError::Overloaded` instead of stalling, and the writer folds
-//!    the admitted burst into far fewer transactional batches than
-//!    submits (one published epoch per batch).
-//! 2. **Failure burst → breaker → recovery** — a flaky engine fails its
-//!    incremental path four times; retries exhaust, the breaker trips
-//!    and re-prepares into recompute mode, degraded batches keep
-//!    committing, and half-open probes walk it back to Closed. No
+//! 1. **Fail-fast admission + group commit** — a burst of submits with a
+//!    zero deadline against a paused 4-slot queue; overflow submits fail
+//!    at once with `DataError::Timeout` instead of waiting, and the writer
+//!    folds the admitted burst into one transactional batch (one
+//!    published epoch).
+//! 2. **A retried transient failure** — a flaky engine fails maintenance
+//!    twice; the wrapper rolls each attempt back and re-prepares, the
+//!    front door retries, and the batch commits on the third attempt. No
 //!    admitted delta is lost and readers never see a torn epoch.
 //!
 //! ```bash
@@ -27,19 +26,18 @@ use fdb::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-/// Wraps [`LmfaoEngine`]: while the fuse is lit every *incremental*
-/// maintenance call fails transiently, but degraded recompute (and cold
-/// `run`) keeps working — the failure model the breaker exists for.
+/// Wraps [`LmfaoEngine`]: the first `n` maintenance calls fail
+/// transiently, then it maintains normally.
 struct FlakyEngine {
     inner: LmfaoEngine,
-    incremental_failures: AtomicU32,
+    failures: AtomicU32,
 }
 
 impl FlakyEngine {
     fn failing(n: u32) -> Self {
         Self {
             inner: LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() }),
-            incremental_failures: AtomicU32::new(n),
+            failures: AtomicU32::new(n),
         }
     }
 }
@@ -62,9 +60,12 @@ impl MaintainableEngine for FlakyEngine {
         st: &mut MaintState,
         delta: &Delta,
     ) -> Result<BatchResult, DataError> {
-        if !st.is_recompute() && self.incremental_failures.load(Ordering::SeqCst) > 0 {
-            self.incremental_failures.fetch_sub(1, Ordering::SeqCst);
-            return Err(DataError::Injected("flaky incremental path".into()));
+        if self
+            .failures
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            return Err(DataError::Injected("flaky maintenance".into()));
         }
         self.inner.apply_delta_kind(st, delta)
     }
@@ -75,21 +76,15 @@ impl MaintainableEngine for FlakyEngine {
 
 fn print_stats(tag: &str, s: &ServingStats) {
     println!(
-        "  [{tag}] epoch {} | submitted {} rejected {} shed {} timed_out {} | \
-         batches {} (+{} coalesced, {} failed) | retries {} | \
-         breaker: trips {} probes {} recoveries {}",
+        "  [{tag}] epoch {} | submitted {} timed_out {} | \
+         batches {} (+{} coalesced, {} failed) | retries {}",
         s.epoch,
         s.submitted,
-        s.rejected,
-        s.shed,
         s.timed_out,
         s.batches_committed,
         s.coalesced,
         s.batches_failed,
         s.retries,
-        s.breaker_trips,
-        s.breaker_probes,
-        s.breaker_recoveries
     );
 }
 
@@ -102,13 +97,9 @@ fn main() {
     let q = AggQuery::new(&rels, batch);
     let fact = ds.db.get("Inventory").expect("fact relation");
 
-    // -- Act 1: producers vs a 4-slot queue under the Reject policy -------
-    println!("act 1: backpressure (queue_capacity 4, Reject, writer paused mid-burst)");
-    let cfg = FrontDoorConfig {
-        queue_capacity: 4,
-        backpressure: Backpressure::Reject,
-        ..Default::default()
-    };
+    // -- Act 1: zero-deadline submits vs a 4-slot queue -------------------
+    println!("act 1: fail-fast admission (queue_capacity 4, zero deadline, writer paused)");
+    let cfg = FrontDoorConfig { queue_capacity: 4, ..Default::default() };
     let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
     let fd = FrontDoor::new(engine, &ds.db, &q, cfg).expect("prepare");
     let e0 = fd.epoch();
@@ -119,63 +110,53 @@ fn main() {
     fd.pause();
     let burst = 16usize;
     let mut admitted = 0u32;
-    let mut overloaded = 0u32;
+    let mut refused = 0u32;
     for i in 0..burst {
-        match fd.submit(Delta::insert("Inventory", fact.row_vec(i % fact.len()))) {
+        let d = Delta::insert("Inventory", fact.row_vec(i % fact.len()));
+        match fd.submit_with_deadline(d, Duration::ZERO) {
             Ok(()) => admitted += 1,
-            Err(e @ DataError::Overloaded { .. }) => {
-                if overloaded == 0 {
+            Err(e @ DataError::Timeout { .. }) => {
+                if refused == 0 {
                     println!("  first refusal: {e}");
                 }
-                overloaded += 1;
+                refused += 1;
             }
             Err(e) => panic!("unexpected: {e}"),
         }
     }
-    println!("  burst of {burst}: {admitted} admitted, {overloaded} rejected (fail-fast)");
+    println!("  burst of {burst}: {admitted} admitted, {refused} refused (fail-fast)");
     fd.flush(); // unpauses; the writer folds the queue into one group commit
     let s = fd.stats();
     print_stats("after", &s);
     println!(
-        "  group commit: {} submits -> {} batch(es) ({} coalesced), rejected submits \
+        "  group commit: {} submits -> {} batch(es) ({} coalesced), refused submits \
          published nothing",
         s.submitted, s.batches_committed, s.coalesced
     );
     assert_eq!(s.epoch, e0 + s.batches_committed, "one epoch per committed batch");
     drop(fd);
 
-    // -- Act 2: failure burst trips the breaker, probes recover ----------
-    println!("act 2: breaker (4 injected incremental failures, retry_max 1, threshold 1)");
-    let cfg = FrontDoorConfig {
-        retry_max: 1,
-        backoff_base: Duration::from_micros(50),
-        breaker_threshold: 1,
-        breaker_probe_after: 2,
-        ..Default::default()
-    };
-    let fd = FrontDoor::new(FlakyEngine::failing(4), &ds.db, &q, cfg).expect("prepare");
+    // -- Act 2: a transient failure, retried ------------------------------
+    println!("act 2: retry (2 injected maintenance failures, 3 retries allowed)");
+    let fd = FrontDoor::new(FlakyEngine::failing(2), &ds.db, &q, FrontDoorConfig::default())
+        .expect("prepare");
     let e0 = fd.epoch();
     print_stats("before", &fd.stats());
-    for i in 0..5i64 {
-        fd.submit(Delta::insert("Inventory", fact.row_vec(i as usize))).expect("admit");
+    for i in 0..3usize {
+        fd.submit(Delta::insert("Inventory", fact.row_vec(i))).expect("admit");
         fd.flush();
         let (epoch, res) = fd.query().expect("read");
         println!(
-            "  batch {}: breaker {:?}{}, epoch {epoch}, count {}",
+            "  batch {}: epoch {epoch}, retries so far {}, count {}",
             i + 1,
-            fd.breaker_state(),
-            if fd.serving().is_degraded() { " (degraded: recompute mode)" } else { "" },
+            fd.stats().retries,
             res.scalar(0)
         );
     }
     let s = fd.stats();
     print_stats("after", &s);
-    assert_eq!(fd.breaker_state(), BreakerState::Closed, "probes walked it back");
-    assert_eq!(s.batches_committed, 5, "no admitted delta was lost to the failure burst");
-    assert_eq!(fd.epoch(), e0 + 5);
-    println!(
-        "  survived: {} trips, {} probes, {} recovery; all 5 batches committed and \
-         the incremental state is restored",
-        s.breaker_trips, s.breaker_probes, s.breaker_recoveries
-    );
+    assert_eq!(s.retries, 2, "both failures were retried");
+    assert_eq!(s.batches_committed, 3, "no admitted delta was lost to the failures");
+    assert_eq!(fd.epoch(), e0 + 3);
+    println!("  survived: {} retries, all 3 batches committed", s.retries);
 }

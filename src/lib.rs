@@ -27,10 +27,9 @@ pub use fdb_ring as ring;
 /// Commonly used types, one `use` away.
 pub mod prelude {
     pub use fdb_core::{
-        AggBatch, AggQuery, Aggregate, Backpressure, BatchResult, BreakerState, DispatchEngine,
-        Engine, EngineChoice, EngineConfig, EpochDb, FactorizedEngine, FilterOp, FlatEngine,
-        FrontDoor, FrontDoorConfig, LmfaoEngine, MaintState, MaintainableEngine, ServingEngine,
-        ServingStats,
+        AggBatch, AggQuery, Aggregate, BatchResult, DispatchEngine, Engine, EngineChoice,
+        EngineConfig, EpochDb, FactorizedEngine, FilterOp, FlatEngine, FrontDoor, FrontDoorConfig,
+        LmfaoEngine, MaintState, MaintainableEngine, ServingEngine, ServingStats,
     };
     pub use fdb_data::{AttrType, Attribute, Database, Delta, Relation, Schema, Value};
     pub use fdb_ring::{CovRing, Ring, Semiring};

@@ -1,12 +1,12 @@
-//! Integration suite for the resilient serving front door.
+//! Integration suite for the serving front door.
 //!
 //! Three layers over [`FrontDoor`]:
 //!
-//! * **Breaker lifecycle** — a flaky engine whose *incremental* path
-//!   fails while recompute keeps working drives the full state machine:
-//!   trip → degraded group commits → half-open probe → relapse → probe →
-//!   recovery, with no admitted delta lost and every published epoch
-//!   bit-identical to a cold run.
+//! * **Failure paths** — a flaky engine whose maintenance fails
+//!   transiently is retried through the maintenance wrapper's rollback and
+//!   re-prepare with no admitted delta lost and the published answer
+//!   bit-identical to a cold run; an engine whose re-prepare panics must
+//!   neither kill the writer thread nor hang [`FrontDoor::flush`].
 //! * **Panel agreement** — every engine composition behind a front door
 //!   serves, after each committed batch, exactly what a cold run over an
 //!   equivalently mutated shadow database computes.
@@ -60,23 +60,24 @@ fn assert_bit_identical(expect: &BatchResult, got: &BatchResult, tag: &str, nagg
 }
 
 // ---------------------------------------------------------------------------
-// Breaker lifecycle with a flaky incremental engine
+// Failure paths: bounded retry, contained re-prepare
 // ---------------------------------------------------------------------------
 
-/// Wraps [`LmfaoEngine`]: while `incremental_failures > 0` every
-/// *incremental* maintenance call fails transiently, but the degraded
-/// recompute path (and cold `run`) keeps working — the exact failure
-/// model the circuit breaker exists for.
+/// Wraps [`LmfaoEngine`]: the first `n` maintenance calls fail
+/// transiently, and every `prepare` is counted so a test can see the
+/// wrapper's re-prepare after each failure.
 struct FlakyEngine {
     inner: LmfaoEngine,
-    incremental_failures: AtomicU32,
+    failures: AtomicU32,
+    prepares: AtomicU32,
 }
 
 impl FlakyEngine {
     fn failing(n: u32) -> Self {
         Self {
             inner: LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() }),
-            incremental_failures: AtomicU32::new(n),
+            failures: AtomicU32::new(n),
+            prepares: AtomicU32::new(0),
         }
     }
 }
@@ -92,6 +93,7 @@ impl Engine for FlakyEngine {
 
 impl MaintainableEngine for FlakyEngine {
     fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
+        self.prepares.fetch_add(1, Ordering::SeqCst);
         self.inner.prepare(db, q)
     }
     fn apply_delta_kind(
@@ -99,9 +101,12 @@ impl MaintainableEngine for FlakyEngine {
         st: &mut MaintState,
         delta: &Delta,
     ) -> Result<BatchResult, DataError> {
-        if !st.is_recompute() && self.incremental_failures.load(Ordering::SeqCst) > 0 {
-            self.incremental_failures.fetch_sub(1, Ordering::SeqCst);
-            return Err(DataError::Injected("flaky-incremental".into()));
+        if self
+            .failures
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            return Err(DataError::Injected("flaky-maintenance".into()));
         }
         self.inner.apply_delta_kind(st, delta)
     }
@@ -111,81 +116,120 @@ impl MaintainableEngine for FlakyEngine {
 }
 
 #[test]
-fn breaker_trips_degrades_probes_relapses_and_recovers_without_losing_deltas() {
-    // retry_max 1 → a failing batch burns 2 incremental attempts;
-    // threshold 1 → the first exhausted batch trips (and is re-applied
-    // degraded, which already counts as the first degraded success);
-    // probe_after 2 → one more degraded batch arms the probe. 4 scripted
-    // failures therefore walk: trip → degraded → probe+relapse (trip
-    // again) → degraded → probe+recovery.
-    let cfg = FrontDoorConfig {
-        retry_max: 1,
-        breaker_threshold: 1,
-        breaker_probe_after: 2,
-        backoff_base: Duration::from_micros(10),
-        ..Default::default()
-    };
-    let fd = FrontDoor::new(FlakyEngine::failing(4), &db(), &sum_query(), cfg).unwrap();
+fn transient_failures_retry_through_the_wrappers_reprepare_without_losing_deltas() {
+    let fd =
+        FrontDoor::new(FlakyEngine::failing(2), &db(), &sum_query(), FrontDoorConfig::default())
+            .unwrap();
     let e0 = fd.epoch();
     let mut shadow = db();
 
-    let expect_states = [
-        BreakerState::Open,     // b1: exhausted → trip, committed degraded
-        BreakerState::HalfOpen, // b2: degraded success → probe armed
-        BreakerState::Open,     // b3: probe re-prepares, relapses → re-trip
-        BreakerState::HalfOpen, // b4: degraded success again
-        BreakerState::Closed,   // b5: probe succeeds → recovery
-    ];
-    for (i, want) in expect_states.iter().enumerate() {
-        let d = Delta::insert("R", row(10 + i as i64, 1.0));
+    // One group-committed batch of three deltas fails twice, then commits.
+    fd.pause();
+    for k in 0..3 {
+        let d = Delta::insert("R", row(10 + k, 0.5 + k as f64));
         shadow.apply_delta(&d).unwrap();
         fd.submit(d).unwrap();
-        fd.flush();
-        assert_eq!(fd.breaker_state(), *want, "after batch {}", i + 1);
-        assert_eq!(fd.epoch(), e0 + i as u64 + 1, "batch {} still committed", i + 1);
     }
-
+    fd.flush();
     let s = fd.stats();
-    assert_eq!(s.batches_committed, 5, "no admitted delta was lost");
-    assert_eq!(s.batches_failed, 0);
-    assert_eq!(s.retries, 2, "one retry per exhausted batch (retry_max = 1)");
-    assert_eq!(s.breaker_trips, 2, "initial trip plus the half-open relapse");
-    assert_eq!(s.breaker_probes, 2);
-    assert_eq!(s.breaker_recoveries, 1);
-    assert!(!fd.serving().is_degraded(), "recovery restored the incremental state");
+    assert_eq!(s.retries, 2, "two transient failures, two retries");
+    assert_eq!((s.batches_committed, s.coalesced, s.batches_failed), (1, 2, 0));
+    assert_eq!(fd.epoch(), e0 + 1, "the retried batch publishes one epoch");
+    assert_eq!(
+        fd.serving().engine().prepares.load(Ordering::SeqCst),
+        3,
+        "the initial prepare plus one wrapper re-prepare per failed attempt"
+    );
+    let cold = FlatEngine.run(&shadow, &sum_query()).unwrap();
+    assert_bit_identical(&cold, &fd.query().unwrap().1, "after the retried batch", 2);
 
+    // The healed engine maintains the next delta with no retry.
+    let d = Delta::insert("R", row(20, 4.0));
+    shadow.apply_delta(&d).unwrap();
+    fd.submit(d).unwrap();
+    fd.flush();
+    let s = fd.stats();
+    assert_eq!((s.retries, s.batches_committed, s.batches_failed), (2, 2, 0));
     let cold = FlatEngine.run(&shadow, &sum_query()).unwrap();
     let (epoch, got) = fd.query().unwrap();
-    assert_eq!(epoch, e0 + 5);
-    assert_bit_identical(&cold, &got, "post-recovery", 2);
+    assert_eq!(epoch, e0 + 2);
+    assert_bit_identical(&cold, &got, "after the healed delta", 2);
+}
+
+/// Fails its first delta permanently, and panics in the re-prepare the
+/// maintenance wrapper runs after that failure (its second `prepare`; the
+/// first is the front door's own).
+#[derive(Default)]
+struct PanickyReprepare {
+    prepares: AtomicU32,
+    failed: AtomicBool,
+}
+
+impl Engine for PanickyReprepare {
+    fn name(&self) -> &'static str {
+        "panicky-reprepare"
+    }
+    fn run(&self, db: &Database, q: &AggQuery) -> Result<BatchResult, DataError> {
+        FlatEngine.run(db, q)
+    }
+}
+
+impl MaintainableEngine for PanickyReprepare {
+    fn prepare(&self, db: &Database, q: &AggQuery) -> Result<MaintState, DataError> {
+        if self.prepares.fetch_add(1, Ordering::SeqCst) == 1 {
+            panic!("re-prepare panics");
+        }
+        FlatEngine.prepare(db, q)
+    }
+    fn apply_delta_kind(
+        &self,
+        st: &mut MaintState,
+        delta: &Delta,
+    ) -> Result<BatchResult, DataError> {
+        if !self.failed.swap(true, Ordering::SeqCst) {
+            return Err(DataError::Invalid("the first delta fails".into()));
+        }
+        FlatEngine.apply_delta_kind(st, delta)
+    }
 }
 
 #[test]
-fn degraded_mode_keeps_committing_while_incremental_stays_broken() {
-    let cfg = FrontDoorConfig {
-        retry_max: 0,
-        breaker_threshold: 2,
-        breaker_probe_after: 100, // stay degraded for this test
-        backoff_base: Duration::from_micros(10),
-        ..Default::default()
-    };
-    let fd = FrontDoor::new(FlakyEngine::failing(u32::MAX), &db(), &sum_query(), cfg).unwrap();
+fn a_panicking_reprepare_neither_kills_the_writer_nor_hangs_flush() {
+    let fd = Arc::new(
+        FrontDoor::new(
+            PanickyReprepare::default(),
+            &db(),
+            &sum_query(),
+            FrontDoorConfig::default(),
+        )
+        .unwrap(),
+    );
     let e0 = fd.epoch();
-    // Two exhausted batches trip the breaker (threshold 2, no retries);
-    // the second one is re-applied degraded at the trip, so only the
-    // first is lost.
-    for k in 0..6 {
-        fd.submit(Delta::insert("R", row(20 + k, 1.0))).unwrap();
-        fd.flush();
+    // Submit and flush on a detached thread: if the writer died, flush
+    // never returns, and the deadline turns the hang into a failure.
+    let (tx, rx) = std::sync::mpsc::channel();
+    {
+        let fd = Arc::clone(&fd);
+        std::thread::spawn(move || {
+            fd.submit(Delta::insert("R", row(10, 1.0))).unwrap();
+            fd.flush();
+            tx.send(()).unwrap();
+        });
     }
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("flush() did not return: the writer thread died in the re-prepare");
     let s = fd.stats();
-    assert_eq!(fd.breaker_state(), BreakerState::Open);
-    assert!(fd.serving().is_degraded());
-    assert_eq!(s.breaker_trips, 1);
-    assert_eq!(s.batches_failed, 1, "only the pre-trip batch was dropped");
-    assert_eq!(s.batches_committed, 5, "everything after the trip commits degraded");
-    assert_eq!(fd.epoch(), e0 + 5);
-    assert_eq!(fd.query().unwrap().1.scalar(1), 3.0 + 5.0);
+    assert_eq!((s.batches_committed, s.batches_failed), (0, 1), "the batch counts as failed");
+    assert_eq!(fd.epoch(), e0, "a failed batch never publishes");
+
+    // The writer is alive and the next delta commits.
+    fd.submit(Delta::insert("R", row(11, 5.0))).unwrap();
+    fd.flush();
+    let s = fd.stats();
+    assert_eq!((s.batches_committed, s.batches_failed), (1, 1));
+    let (epoch, got) = fd.query().unwrap();
+    assert_eq!(epoch, e0 + 1);
+    assert_eq!((got.scalar(0), got.scalar(1)), (11.0, 4.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -253,9 +297,8 @@ fn every_panel_composition_serves_cold_identical_epochs_through_the_front_door()
 fn racing_producers_and_readers_observe_only_cold_identical_snapshots() {
     let q = sum_query();
     let cfg = FrontDoorConfig {
-        queue_capacity: 4, // small on purpose: producers hit backpressure
+        queue_capacity: 4, // small on purpose: producers wait for space
         submit_timeout: Duration::from_secs(30),
-        ..Default::default()
     };
     let fd = FrontDoor::new(FlatEngine, &db(), &q, cfg).unwrap();
     let observed: Mutex<Vec<(Arc<EpochDb>, BatchResult)>> = Mutex::new(Vec::new());

@@ -1,7 +1,7 @@
 //! Chaos suite for the serving front door (`--features fault-injection`).
 //!
 //! The acceptance contract, checked over ≥200 seeded fault schedules
-//! spanning the queue, writer, breaker, and maintenance sites:
+//! spanning the queue, writer, and maintenance sites:
 //!
 //! * every reader-observed `(epoch, result)` pair is **bit-identical** to
 //!   a cold recompute over an equivalently mutated shadow database at
@@ -10,7 +10,7 @@
 //!   publish an epoch;
 //! * once the faults clear, the queue fully drains and the final epoch
 //!   equals the count of committed batches;
-//! * retry/backoff is deterministic: two runs under the same seeded
+//! * retry is deterministic: two runs under the same seeded
 //!   [`FaultPlan`] produce identical retry counts, epochs, and results.
 //!
 //! The fault plan is process-global, so every test here serializes on
@@ -22,7 +22,6 @@ use fdb::data::{AttrType, Database, Delta, Relation, Schema, Value};
 use fdb::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 /// Serializes every test that installs a process-global fault plan.
 fn fault_lock() -> MutexGuard<'static, ()> {
@@ -115,17 +114,9 @@ fn lmfao_seq() -> LmfaoEngine {
     LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() })
 }
 
-/// Fast-failing front door so 200 schedules stay cheap: short backoff,
-/// small queue, a hair-trigger breaker with a quick probe.
+/// A small queue, so the schedules run against a nearly full one.
 fn chaos_config() -> FrontDoorConfig {
-    FrontDoorConfig {
-        queue_capacity: 8,
-        retry_max: 2,
-        backoff_base: Duration::from_micros(10),
-        breaker_threshold: 2,
-        breaker_probe_after: 1,
-        ..Default::default()
-    }
+    FrontDoorConfig { queue_capacity: 8, ..Default::default() }
 }
 
 /// A mostly-valid random delta against the shadow's current state; ~1 in
@@ -148,12 +139,12 @@ fn random_delta(rng: &mut Rng, shadow: &Database) -> Delta {
     }
 }
 
-/// A random schedule over queue, writer, breaker, and maintenance sites.
+/// A random schedule over queue, writer, and maintenance sites.
 /// Panic rules are legal everywhere: the queue/writer sites demote them
 /// (`check_err`) and the maintenance sites are containment-wrapped.
 fn random_plan(rng: &mut Rng, seed: u64) -> FaultPlan {
     let mut plan = FaultPlan::new(seed);
-    for site in ["queue-admit", "writer-drain", "breaker-trip"] {
+    for site in ["queue-admit", "writer-drain"] {
         if rng.chance(60) {
             plan = plan.fail_with_probability(site, 0.08 + rng.below(15) as f64 / 100.0);
         }
@@ -251,15 +242,14 @@ fn two_hundred_seeded_schedules_serve_only_cold_identical_epochs() {
     assert!(dropped_total > 0, "no batch was ever dropped across 200 schedules");
 }
 
-/// Satellite: retry/backoff determinism. Same seed → same fault schedule
-/// → identical retry counts, breaker transitions, epochs, and result
-/// bits. Flush-per-submit pins the batch boundaries so the fault-site
+/// Retry determinism. Same seed → same fault schedule → identical retry
+/// counts, epochs, and result bits. Flush-per-submit pins the batch boundaries so the fault-site
 /// occurrence indices are schedule-independent.
 #[test]
 fn seeded_retry_schedules_replay_identically() {
     let _guard = fault_lock();
 
-    fn run(seed: u64) -> (u64, u64, u64, u64, u64, Vec<BTreeMap<String, u64>>) {
+    fn run(seed: u64) -> (u64, u64, u64, u64, Vec<BTreeMap<String, u64>>) {
         let db = snowflake(8);
         let q = query();
         fault::mute(true);
@@ -274,64 +264,14 @@ fn seeded_retry_schedules_replay_identically() {
         let stats = fd.stats();
         let (epoch, result) = fd.query().unwrap();
         let digest = digest(&result, q.batch.len());
-        (
-            stats.retries,
-            stats.breaker_trips,
-            stats.batches_committed,
-            stats.batches_failed,
-            epoch,
-            digest,
-        )
+        (stats.retries, stats.batches_committed, stats.batches_failed, epoch, digest)
     }
 
     let first = run(7);
     let second = run(7);
     assert_eq!(first, second, "same seed must replay to identical stats and results");
     assert!(first.0 > 0, "the schedule never exercised a retry — weaken the seed check");
-    assert_eq!(first.4, first.2, "final epoch equals committed batches (initial epoch 0)");
-}
-
-/// The `breaker-trip` chaos lever: a forced trip degrades to recompute
-/// without losing the batch, and the normal probe path recovers.
-#[test]
-fn forced_breaker_trip_degrades_and_then_recovers() {
-    let _guard = fault_lock();
-    let db = snowflake(6);
-    let q = query();
-    fault::mute(true);
-    let fd = FrontDoor::new(lmfao_seq(), &db, &q, chaos_config()).unwrap();
-    fault::mute(false);
-    let e0 = fd.epoch();
-    let mut shadow = db.clone();
-
-    fault::install(FaultPlan::new(3).fail_at("breaker-trip", 1));
-    let d1 = Delta::insert("F", frow(0, 0, 50.0));
-    shadow.apply_delta(&d1).unwrap();
-    fd.submit(d1).unwrap();
-    fd.flush();
-    fault::clear();
-
-    // Forced trip at batch entry: committed degraded, breaker armed for a
-    // probe (probe_after = 1 and the post-trip success already counts).
-    assert_eq!(fd.epoch(), e0 + 1, "the tripping batch still commits");
-    assert!(fd.serving().is_degraded());
-    assert_eq!(fd.breaker_state(), BreakerState::HalfOpen);
-    assert_eq!(fd.stats().breaker_trips, 1);
-
-    // Next batch probes: re-prepare succeeds (no faults), recovery.
-    let d2 = Delta::insert("F", frow(1, 0, 51.0));
-    shadow.apply_delta(&d2).unwrap();
-    fd.submit(d2).unwrap();
-    fd.flush();
-    let stats = fd.stats();
-    assert_eq!(fd.breaker_state(), BreakerState::Closed);
-    assert!(!fd.serving().is_degraded());
-    assert_eq!((stats.breaker_probes, stats.breaker_recoveries), (1, 1));
-    assert_eq!(fd.epoch(), e0 + 2);
-
-    let want = FlatEngine.run(&shadow, &q).unwrap();
-    let (_, got) = fd.query().unwrap();
-    assert_bit_identical(&want, &got, "post-recovery", q.batch.len());
+    assert_eq!(first.3, first.1, "final epoch equals committed batches (initial epoch 0)");
 }
 
 /// Injected admission faults refuse without publishing; injected drain

@@ -17,6 +17,8 @@ use crate::plan::{Plan, ViewData};
 use fdb_data::{fault, DataError, Relation};
 use std::sync::Arc;
 
+pub use fdb_data::sched::default_threads;
+
 /// Engine feature toggles (all on by default).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -66,11 +68,6 @@ impl EngineConfig {
     pub fn sequential() -> Self {
         Self { threads: 1, ..Default::default() }
     }
-}
-
-/// The machine's available parallelism (1 if it cannot be determined).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Merges per-chunk view data additively into `a`.

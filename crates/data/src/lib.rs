@@ -2,7 +2,9 @@
 //!
 //! Data-layer substrate for the `fdb` workspace: typed values, schemas,
 //! dictionary encoding of categorical attributes, in-memory columnar
-//! relations, sorted views, databases (catalogs), and CSV import/export.
+//! relations, sorted views, databases (catalogs), CSV import/export, and
+//! the work-stealing scheduler ([`sched`]) both the CSV reader and the
+//! engines run their parallel units on.
 //!
 //! Everything above this crate (the factorized engine, LMFAO, F-IVM, the
 //! classical baseline engine) operates on [`Relation`]s described by
@@ -23,6 +25,7 @@ pub mod dict;
 pub mod error;
 pub mod fault;
 pub mod relation;
+pub mod sched;
 pub mod schema;
 pub mod sortcache;
 pub mod value;

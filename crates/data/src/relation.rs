@@ -196,6 +196,22 @@ impl Relation {
         Self { schema, cols, nrows: 0, data_id: next_data_id() }
     }
 
+    /// Builds a relation over finished typed columns, one per attribute,
+    /// all of one length, minting one `data_id` — the bulk constructor of
+    /// the CSV reader, which has no `Value` rows to push.
+    pub(crate) fn from_columns(schema: Schema, cols: Vec<Column>) -> Self {
+        let nrows = cols.first().map_or(0, Column::len);
+        assert_eq!(cols.len(), schema.arity(), "one column per attribute");
+        assert!(
+            cols.iter()
+                .zip(schema.attrs())
+                .all(|(c, a)| c.len() == nrows
+                    && matches!(c, Column::Int(_)) == a.ty.is_int_backed()),
+            "columns match the schema's backing types and share one length"
+        );
+        Self { schema, cols, nrows, data_id: next_data_id() }
+    }
+
     /// The content-state id of this relation (see the field docs). Stable
     /// across clones, refreshed by every mutation.
     #[inline]

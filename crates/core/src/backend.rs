@@ -18,11 +18,11 @@
 //!   bottom-up in one scan per relation ([`crate::plan`] /
 //!   [`crate::exec`] / [`crate::parallel`]).
 
-use crate::batch::{Aggregate, FilterOp, Fn1};
+use crate::batch::{bucket_code, key_names, sorted_keys, Aggregate, FilterOp, Fn1, GroupKey};
 use crate::classical::ScanQuery;
 use crate::exec::{filter_pass, run_batch, Col};
 use crate::group::{GroupIndex, KeySpace, DEFAULT_DENSE_GROUPS};
-use crate::ir::{sorted_groups, AggQuery, BatchResult};
+use crate::ir::{AggQuery, BatchResult};
 use crate::parallel::EngineConfig;
 use fdb_data::{DataError, Database, Value};
 use fdb_factorized::EvalSpec;
@@ -53,8 +53,8 @@ pub trait Engine {
 pub struct FlatEngine;
 
 /// Translates one IR aggregate into the classical engine's per-relation
-/// scan query (group-by in sorted, deduplicated order — the key order of
-/// [`BatchResult`]).
+/// scan query (group-by keys in sorted, deduplicated order — the key order
+/// of [`BatchResult`]).
 pub fn to_scan_query(agg: &Aggregate) -> ScanQuery {
     let expr = if agg.factors.is_empty() {
         ScalarExpr::One
@@ -69,8 +69,7 @@ pub fn to_scan_query(agg: &Aggregate) -> ScanQuery {
                 .collect(),
         )
     };
-    let groups = sorted_groups(&agg.group_by);
-    let mut q = ScanQuery { group_by: groups, expr, filter: None };
+    let mut q = ScanQuery { group_by: sorted_keys(&agg.group_by), expr, filter: None };
     if !agg.filter.is_empty() {
         let preds: Vec<Predicate> = agg
             .filter
@@ -105,19 +104,20 @@ impl Engine for FlatEngine {
         let cols = Col::all(&flat);
         // Aggregate indices per distinct (sorted) group-by set, in first-use
         // order.
-        let mut sets: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
+        let mut sets: Vec<(Vec<String>, Vec<GroupKey>, Vec<usize>)> = Vec::new();
         for (i, agg) in q.batch.aggs.iter().enumerate() {
-            let g = sorted_groups(&agg.group_by);
-            match sets.iter_mut().find(|(sg, _)| *sg == g) {
-                Some((_, idxs)) => idxs.push(i),
-                None => sets.push((g, vec![i])),
+            let keys = sorted_keys(&agg.group_by);
+            let g = key_names(&keys);
+            match sets.iter_mut().find(|(sg, ..)| *sg == g) {
+                Some((.., idxs)) => idxs.push(i),
+                None => sets.push((g, keys, vec![i])),
             }
         }
         let mut groups = vec![Vec::new(); q.batch.len()];
         let mut values: Vec<HashMap<Box<[i64]>, f64>> = vec![HashMap::new(); q.batch.len()];
-        for (gattrs, idxs) in sets {
+        for (gattrs, keys, idxs) in sets {
             let gcols: Vec<usize> =
-                gattrs.iter().map(|a| flat.schema().require(a)).collect::<Result<_, _>>()?;
+                keys.iter().map(|k| flat.schema().require(k.attr())).collect::<Result<_, _>>()?;
             // Per aggregate of the set: factor and filter columns.
             let plans: Vec<(Vec<(usize, Fn1)>, Vec<(usize, FilterOp)>)> = idxs
                 .iter()
@@ -136,18 +136,30 @@ impl Engine for FlatEngine {
                     Ok((factors, filter))
                 })
                 .collect::<Result<_, DataError>>()?;
-            let ranges: Option<Vec<(i64, i64)>> =
-                gcols.iter().map(|&c| flat.int_min_max(c)).collect();
+            // A bucket key's space is its fixed code domain.
+            let ranges: Option<Vec<(i64, i64)>> = keys
+                .iter()
+                .zip(&gcols)
+                .map(|(k, &c)| match k.cuts() {
+                    None => flat.int_min_max(c),
+                    Some(cuts) => Some((0, cuts.len() as i64)),
+                })
+                .collect();
             let space = ranges.and_then(|r| KeySpace::new(&r, DEFAULT_DENSE_GROUPS));
             // Dense accumulator over integer-backed group columns: scan
             // batch-at-a-time through the columnar kernels — one mixed-radix
             // code pass, then per-aggregate factor/filter passes over
-            // contiguous slices, then a gathered payload add.
-            let key_slices: Option<Vec<&[i64]>> = gcols
+            // contiguous slices, then a gathered payload add. A bucket key
+            // reads its code column, computed once per set.
+            let key_slices: Option<Vec<std::borrow::Cow<'_, [i64]>>> = keys
                 .iter()
-                .map(|&c| match cols[c] {
-                    Col::I(v) => Some(v),
-                    Col::F(_) => None,
+                .zip(&gcols)
+                .map(|(k, &c)| match (k.cuts(), &cols[c]) {
+                    (None, Col::I(v)) => Some(std::borrow::Cow::Borrowed(*v)),
+                    (None, Col::F(_)) => None,
+                    (Some(cuts), col) => Some(std::borrow::Cow::Owned(
+                        (0..flat.len()).map(|r| bucket_code(cuts, col.get(r))).collect(),
+                    )),
                 })
                 .collect();
             let batched = space.clone().zip(key_slices);
@@ -199,7 +211,11 @@ impl Engine for FlatEngine {
                 let mut key: Vec<i64> = Vec::with_capacity(gcols.len());
                 for row in 0..flat.len() {
                     key.clear();
-                    key.extend(gcols.iter().map(|&c| cols[c].get_int(row)));
+                    key.extend(
+                        keys.iter()
+                            .zip(&gcols)
+                            .map(|(k, &c)| k.code(cols[c].get(row), cols[c].get_int(row))),
+                    );
                     let payload = acc.payload_mut(&key);
                     'aggs: for (k, (factors, filter)) in plans.iter().enumerate() {
                         for (c, op) in filter {
@@ -311,6 +327,10 @@ fn local_plans(spec: &EvalSpec, nrels: usize, agg: &Aggregate) -> Result<Vec<Loc
     Ok(out)
 }
 
+/// One prepared spec per distinct categorical group-by set, with its dense
+/// ring when the group domains allow one.
+type SpecEntry = (Vec<String>, EvalSpec, Option<DenseKeyedRing<F64Ring>>);
+
 impl FactorizedEngine {
     /// Builds the dense keyed ring for a prepared spec's group attributes,
     /// when their code ranges are known. Computed **once per group-by set**
@@ -404,6 +424,63 @@ impl FactorizedEngine {
         }
         Ok(map)
     }
+
+    /// Evaluates `agg` grouped by `keys` (sorted). Bucket keys are lowered
+    /// to range filters, one key at a time: bucket `k ≥ 1` is the aggregate
+    /// filtered by `x ≥ cuts[k-1] ∧ x < cuts[k]` (no upper bound for the
+    /// last), and bucket 0 is the aggregate without the key minus every
+    /// other bucket, so rows no range admits (NaN, `-inf`, below the first
+    /// cut) land in bucket 0 as the [`GroupKey`] contract says. The
+    /// categorical keys left over go to the spec of their group-by set.
+    fn eval_keys(
+        db: &Database,
+        rels: &[&str],
+        specs: &mut Vec<SpecEntry>,
+        agg: &Aggregate,
+        keys: &[GroupKey],
+    ) -> Result<HashMap<Box<[i64]>, f64>, DataError> {
+        let Some(b) = keys.iter().position(|k| k.cuts().is_some()) else {
+            let gattrs: Vec<String> = keys.iter().map(|k| k.attr().to_string()).collect();
+            let spec_idx = match specs.iter().position(|(g, ..)| *g == gattrs) {
+                Some(i) => i,
+                None => {
+                    let grefs: Vec<&str> = gattrs.iter().map(String::as_str).collect();
+                    let spec = EvalSpec::new(db, rels, &grefs)?;
+                    let ring = Self::dense_ring(&spec, rels.len(), &gattrs);
+                    specs.push((gattrs, spec, ring));
+                    specs.len() - 1
+                }
+            };
+            let (gattrs, spec, ring) = &specs[spec_idx];
+            return Self::eval_one(spec, rels.len(), gattrs, ring.as_ref(), agg);
+        };
+        let (attr, cuts) = (keys[b].attr(), keys[b].cuts().expect("a bucket key"));
+        let mut rest = keys.to_vec();
+        rest.remove(b);
+        let with_code = |key: &[i64], code: usize| -> Box<[i64]> {
+            let mut k = key.to_vec();
+            k.insert(b, code as i64);
+            k.into()
+        };
+        let mut bucket0 = Self::eval_keys(db, rels, specs, agg, &rest)?;
+        let mut out = HashMap::new();
+        for k in 1..=cuts.len() {
+            let mut range = agg.clone().filtered(attr, FilterOp::Ge(cuts[k - 1]));
+            if let Some(&hi) = cuts.get(k) {
+                range = range.filtered(attr, FilterOp::Lt(hi));
+            }
+            for (key, v) in Self::eval_keys(db, rels, specs, &range, &rest)? {
+                *bucket0.entry(key.clone()).or_insert(0.0) -= v;
+                out.insert(with_code(&key, k), v);
+            }
+        }
+        for (key, v) in bucket0 {
+            if v != 0.0 {
+                out.insert(with_code(&key, 0), v);
+            }
+        }
+        Ok(out)
+    }
 }
 
 impl Engine for FactorizedEngine {
@@ -418,26 +495,13 @@ impl Engine for FactorizedEngine {
         // group attributes become extra key variables of the variable
         // order, so specs — the sorting they do, and the range scans the
         // ring needs — are shared across same-grouped aggregates.
-        type SpecEntry = (Vec<String>, EvalSpec, Option<DenseKeyedRing<F64Ring>>);
         let mut specs: Vec<SpecEntry> = Vec::new();
         let mut groups = Vec::with_capacity(q.batch.len());
         let mut values = Vec::with_capacity(q.batch.len());
         for agg in &q.batch.aggs {
-            let gattrs = sorted_groups(&agg.group_by);
-            let spec_idx = match specs.iter().position(|(g, ..)| *g == gattrs) {
-                Some(i) => i,
-                None => {
-                    let grefs: Vec<&str> = gattrs.iter().map(String::as_str).collect();
-                    let spec = EvalSpec::new(db, &rels, &grefs)?;
-                    let ring = Self::dense_ring(&spec, rels.len(), &gattrs);
-                    specs.push((gattrs.clone(), spec, ring));
-                    specs.len() - 1
-                }
-            };
-            let (_, spec, ring) = &specs[spec_idx];
-            let map = Self::eval_one(spec, rels.len(), &gattrs, ring.as_ref(), agg)?;
-            groups.push(gattrs);
-            values.push(map);
+            let keys = sorted_keys(&agg.group_by);
+            values.push(Self::eval_keys(db, &rels, &mut specs, agg, &keys)?);
+            groups.push(key_names(&keys));
         }
         Ok(BatchResult { groups, values })
     }

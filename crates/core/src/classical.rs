@@ -16,6 +16,7 @@
 //! per-aggregate baseline. [`crate::to_scan_query`] lowers one IR
 //! aggregate to a [`ScanQuery`].
 
+use crate::batch::{bucket_code, GroupKey};
 use fdb_data::{DataError, Relation, Value};
 use fdb_query::{Predicate, ScalarExpr};
 use std::collections::HashMap;
@@ -26,8 +27,9 @@ use std::collections::HashMap;
 /// one of its aggregates to this form.)
 #[derive(Debug, Clone)]
 pub struct ScanQuery {
-    /// Group-by attribute names (empty = scalar aggregate).
-    pub group_by: Vec<String>,
+    /// Group-by keys (empty = scalar aggregate). A bucket key groups by
+    /// its code, computed by definition per row.
+    pub group_by: Vec<GroupKey>,
     /// Summand expression.
     pub expr: ScalarExpr,
     /// Optional tuple filter.
@@ -42,7 +44,11 @@ impl ScanQuery {
 
     /// A grouped `SUM(expr) GROUP BY attrs`.
     pub fn sum_by(expr: ScalarExpr, group_by: &[&str]) -> Self {
-        Self { group_by: group_by.iter().map(|s| s.to_string()).collect(), expr, filter: None }
+        Self {
+            group_by: group_by.iter().map(|s| GroupKey::Attr(s.to_string())).collect(),
+            expr,
+            filter: None,
+        }
     }
 
     /// Adds a filter.
@@ -60,8 +66,11 @@ pub type AggResult = HashMap<Box<[Value]>, f64>;
 pub fn eval_agg(rel: &Relation, q: &ScanQuery) -> Result<AggResult, DataError> {
     let expr = q.expr.bind(rel.schema())?;
     let filter = q.filter.as_ref().map(|p| p.bind(rel.schema())).transpose()?;
-    let gcols: Vec<usize> =
-        q.group_by.iter().map(|a| rel.schema().require(a)).collect::<Result<_, _>>()?;
+    let gcols: Vec<(usize, Option<&[f64]>)> = q
+        .group_by
+        .iter()
+        .map(|k| Ok((rel.schema().require(k.attr())?, k.cuts())))
+        .collect::<Result<_, DataError>>()?;
     let mut out: AggResult = HashMap::new();
     let mut key: Vec<Value> = Vec::with_capacity(gcols.len());
     for r in 0..rel.len() {
@@ -71,7 +80,10 @@ pub fn eval_agg(rel: &Relation, q: &ScanQuery) -> Result<AggResult, DataError> {
             }
         }
         key.clear();
-        key.extend(gcols.iter().map(|&c| rel.value(r, c)));
+        key.extend(gcols.iter().map(|&(c, cuts)| match cuts {
+            None => rel.value(r, c),
+            Some(cuts) => Value::Int(bucket_code(cuts, rel.value_f64(r, c))),
+        }));
         *out.entry(key.as_slice().into()).or_insert(0.0) += expr.eval(rel, r);
     }
     Ok(out)
@@ -130,6 +142,19 @@ mod tests {
         let q =
             ScanQuery::sum(ScalarExpr::Col("y".into())).with_filter(Predicate::Ge("x".into(), 2.0));
         assert_eq!(scalar(&eval_agg(&r, &q).unwrap()), 50.0);
+    }
+
+    #[test]
+    fn bucketed_sum_groups_by_bucket_code() {
+        let r = rel();
+        let mut q = ScanQuery::sum_by(ScalarExpr::Col("y".into()), &["g"]);
+        q.group_by.push(GroupKey::Bucket { attr: "x".into(), cuts: vec![1.5, 2.0] });
+        let res = eval_agg(&r, &q).unwrap();
+        let key = |g: i64, b: i64| -> Box<[Value]> { vec![Value::Int(g), Value::Int(b)].into() };
+        assert_eq!(res.get(&key(1, 0)), Some(&10.0));
+        assert_eq!(res.get(&key(1, 2)), Some(&20.0));
+        assert_eq!(res.get(&key(2, 2)), Some(&30.0));
+        assert_eq!(res.len(), 3);
     }
 
     #[test]

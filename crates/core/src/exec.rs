@@ -12,7 +12,7 @@
 //! ablation). The multi-threaded paths live in [`crate::parallel`]; this
 //! module is the sequential core plus the [`run_batch`] entry point.
 
-use crate::batch::{AggBatch, FilterOp};
+use crate::batch::{bucket_code, AggBatch, FilterOp};
 use crate::group::{GroupIndex, KeySpace};
 use crate::ir::BatchResult;
 use crate::parallel::{self, EngineConfig};
@@ -357,7 +357,10 @@ impl<'a> NodeScan<'a> {
             }
             let mut gsrc = vec![GroupSrc::Local(usize::MAX); vp.group_attrs.len()];
             for &(pos, col) in &vp.local_groups {
-                gsrc[pos] = GroupSrc::Local(col);
+                gsrc[pos] = match vp.group_keys[pos].cuts() {
+                    None => GroupSrc::Local(col),
+                    Some(_) => GroupSrc::Bucket { col, pos },
+                };
             }
             for (&li, (_, map)) in lks.iter().zip(&vp.child_views) {
                 for &(mypos, pos) in map {
@@ -502,7 +505,8 @@ impl<'a> NodeScan<'a> {
                     return;
                 }
                 let gspace = vp.spec.space.as_ref().expect("mode requires dense groups");
-                let gslices = group_slices(&vs.gsrc, cols, &s.gvals, &rows);
+                bucket_columns(vp, &vs.gsrc, cols, &rows, &mut s.bcodes);
+                let gslices = group_slices(&vs.gsrc, cols, &s.gvals, &s.bcodes, &rows);
                 crate::kernel::encode_codes(gspace, &gslices, n, &mut s.gcodes, &mut s.oob);
                 mask_codes(&mut s.gcodes, valid);
                 out.entry_mut(&[], &vp.spec).add_codes_multi(&s.gcodes, &s.slot_vals);
@@ -513,7 +517,8 @@ impl<'a> NodeScan<'a> {
                     np.key_cols.iter().map(|&c| int_slice(cols, c, &rows)).collect();
                 crate::kernel::encode_codes(kspace, &kslices, n, &mut s.key_codes, &mut s.oob);
                 let gspace = vp.spec.space.as_ref().expect("mode requires dense groups");
-                let gslices = group_slices(&vs.gsrc, cols, &s.gvals, &rows);
+                bucket_columns(vp, &vs.gsrc, cols, &rows, &mut s.bcodes);
+                let gslices = group_slices(&vs.gsrc, cols, &s.gvals, &s.bcodes, &rows);
                 crate::kernel::encode_codes(gspace, &gslices, n, &mut s.gcodes, &mut s.oob);
                 // Out-of-range codes cannot slip through: the slot table
                 // index and `add_payload_row` bound-check them.
@@ -534,6 +539,9 @@ impl<'a> NodeScan<'a> {
                     s.gkey_buf.clear();
                     s.gkey_buf.extend(vs.gsrc.iter().map(|g| match *g {
                         GroupSrc::Local(c) => cols[c].get_int(row),
+                        GroupSrc::Bucket { col, pos } => {
+                            vp.group_keys[pos].code(cols[col].get(row), cols[col].get_int(row))
+                        }
                         GroupSrc::Child { li, pos } => s.gvals[li][pos * n + r],
                     }));
                     let payload = out.entry_mut(&s.key_buf, &vp.spec).payload_mut(&s.gkey_buf);
@@ -640,6 +648,9 @@ fn int_slice<'c>(cols: &[Col<'c>], c: usize, rows: &Range<usize>) -> &'c [i64] {
 enum GroupSrc {
     /// A column of the scanned relation.
     Local(usize),
+    /// The bucket code of column `col` of the scanned relation, under the
+    /// cuts of the view's group key at position `pos`.
+    Bucket { col: usize, pos: usize },
     /// Position `pos` of the group key of lookup `li`'s single entry.
     Child { li: usize, pos: usize },
 }
@@ -674,17 +685,46 @@ struct ViewScan {
     slot_cols: Vec<usize>,
 }
 
+/// Codes every bucket position of `gsrc` over `rows` into the scratch
+/// column `bcodes[pos]`, so bucket keys encode with the categorical ones.
+fn bucket_columns(
+    vp: &ViewPlan,
+    gsrc: &[GroupSrc],
+    cols: &[Col<'_>],
+    rows: &Range<usize>,
+    bcodes: &mut Vec<Vec<i64>>,
+) {
+    for g in gsrc {
+        if let GroupSrc::Bucket { col, pos } = *g {
+            if bcodes.len() <= pos {
+                bcodes.resize_with(pos + 1, Vec::new);
+            }
+            let cuts = vp.group_keys[pos].cuts().expect("bucket position");
+            let out = &mut bcodes[pos];
+            out.clear();
+            match &cols[col] {
+                Col::F(v) => out.extend(v[rows.clone()].iter().map(|&x| bucket_code(cuts, x))),
+                Col::I(v) => {
+                    out.extend(v[rows.clone()].iter().map(|&x| bucket_code(cuts, x as f64)))
+                }
+            }
+        }
+    }
+}
+
 /// The group-key columns of one batch, per position of `gsrc`.
 fn group_slices<'s>(
     gsrc: &[GroupSrc],
     cols: &[Col<'s>],
     gvals: &'s [Vec<i64>],
+    bcodes: &'s [Vec<i64>],
     rows: &Range<usize>,
 ) -> Vec<&'s [i64]> {
     let n = rows.len();
     gsrc.iter()
         .map(|g| match *g {
             GroupSrc::Local(c) => int_slice(cols, c, rows),
+            GroupSrc::Bucket { pos, .. } => &bcodes[pos][..n],
             GroupSrc::Child { li, pos } => &gvals[li][pos * n..(pos + 1) * n],
         })
         .collect()
@@ -720,6 +760,9 @@ struct ScanScratch {
     child_codes: Vec<Vec<u64>>,
     state: Vec<Vec<Probe>>,
     gvals: Vec<Vec<i64>>,
+    /// Per group-key position of the view being scattered: its bucket
+    /// codes ([`bucket_columns`]).
+    bcodes: Vec<Vec<i64>>,
     /// Per lookup: every row of the batch hit a single group.
     all_hit: Vec<bool>,
     valid: Vec<bool>,
@@ -811,7 +854,10 @@ impl<'a> Cross<'a> {
             self.gkey.clear();
             self.gkey.resize(vp.group_attrs.len(), 0);
             for &(pos, col) in &vp.local_groups {
-                self.gkey[pos] = geti(col);
+                self.gkey[pos] = match vp.group_keys[pos].cuts() {
+                    None => geti(col),
+                    Some(cuts) => bucket_code(cuts, getf(col)),
+                };
             }
             for cpos in 0..nchildren {
                 let (stride, i) = (self.arity[cpos], self.idx[cpos]);

@@ -8,7 +8,7 @@
 //! makes the Figure 6 ablation (and backend dispatch) a matter of
 //! swapping engine objects rather than calling three bespoke APIs.
 
-use crate::batch::AggBatch;
+use crate::batch::{AggBatch, GroupKey};
 use fdb_data::{DataError, Database};
 use fdb_factorized::hypergraph::Hypergraph;
 use std::collections::HashMap;
@@ -41,8 +41,9 @@ impl AggQuery {
 
     /// Checks the invariants every backend relies on: the relations exist,
     /// each aggregate attribute (factor, filter, or group-by) is a
-    /// *non-join* attribute of exactly one relation, group-by attributes
-    /// are integer-backed (categorical codes or keys), and
+    /// *non-join* attribute of exactly one relation, categorical group-by
+    /// attributes are integer-backed (categorical codes or keys), bucket
+    /// cuts are non-empty, finite and sorted ascending, and
     /// [`FilterOp::In`](crate::batch::FilterOp) lists are sorted (the
     /// documented contract the engines' binary search relies on).
     ///
@@ -91,10 +92,23 @@ impl AggQuery {
                 }
             }
             for g in &agg.group_by {
-                if !require(g)? {
-                    return Err(DataError::Invalid(format!(
-                        "group-by attribute `{g}` must be integer-backed (categorical codes)"
-                    )));
+                let int_backed = require(g.attr())?;
+                match g {
+                    GroupKey::Attr(a) if !int_backed => {
+                        return Err(DataError::Invalid(format!(
+                            "group-by attribute `{a}` must be integer-backed (categorical codes)"
+                        )));
+                    }
+                    GroupKey::Bucket { attr, cuts }
+                        if cuts.is_empty()
+                            || cuts.iter().any(|c| !c.is_finite())
+                            || cuts.windows(2).any(|w| w[0] > w[1]) =>
+                    {
+                        return Err(DataError::Invalid(format!(
+                            "bucket cuts on `{attr}` must be non-empty, finite and sorted ascending"
+                        )));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -104,16 +118,17 @@ impl AggQuery {
 
 /// Result of a batch: one grouped map per aggregate, in batch order.
 ///
-/// Group keys are categorical codes in the order of
-/// [`BatchResult::groups`] (group-by attributes sorted by name,
-/// deduplicated); scalar aggregates use the empty key. Entries whose value
+/// Group keys are codes (categorical codes or bucket numbers) in the order
+/// of [`BatchResult::groups`] (group-by keys sorted by canonical name,
+/// [`GroupKey::name`], deduplicated); scalar aggregates use the empty key. Entries whose value
 /// is exactly `0.0` are dropped, so all backends agree on the represented
 /// key set even when a join is empty.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Per aggregate: the group-by attributes in key order (sorted names).
+    /// Per aggregate: the canonical names of its group-by keys, in key
+    /// order (sorted).
     pub groups: Vec<Vec<String>>,
-    /// Per aggregate: group key (categorical codes) → aggregate value.
+    /// Per aggregate: group key (codes) → aggregate value.
     /// Scalar aggregates use the empty key.
     pub values: Vec<HashMap<Box<[i64]>, f64>>,
 }
@@ -129,14 +144,6 @@ impl BatchResult {
     pub fn grouped(&self, i: usize) -> &HashMap<Box<[i64]>, f64> {
         &self.values[i]
     }
-}
-
-/// The sorted, deduplicated group-by key order used in [`BatchResult`].
-pub(crate) fn sorted_groups(group_by: &[String]) -> Vec<String> {
-    let mut g = group_by.to_vec();
-    g.sort();
-    g.dedup();
-    g
 }
 
 #[cfg(test)]
@@ -176,6 +183,23 @@ mod tests {
         let mut sorted = AggBatch::new();
         sorted.push(Aggregate::count().filtered("price", FilterOp::In(vec![1, 3])));
         assert!(AggQuery::new(&rels, sorted).validate(&db).is_ok());
+
+        // Bucket keys: any non-join attribute, Double or not, with
+        // non-empty, finite, ascending cuts (duplicates allowed).
+        let bucket = |attr: &str, cuts: &[f64]| {
+            let mut b = AggBatch::new();
+            b.push(Aggregate::count().by(&["customer"]).by_bucket(attr, cuts));
+            AggQuery::new(&rels, b).validate(&db)
+        };
+        assert!(bucket("price", &[1.0, 2.0, 2.0, 5.0]).is_ok());
+        assert!(bucket("customer", &[0.5]).is_ok());
+        assert!(bucket("price", &[]).is_err(), "empty cuts");
+        assert!(bucket("price", &[3.0, 1.0]).is_err(), "unsorted cuts");
+        assert!(bucket("price", &[1.0, f64::NAN]).is_err(), "NaN cut");
+        assert!(bucket("price", &[f64::NEG_INFINITY, 1.0]).is_err(), "infinite cut");
+        assert!(bucket("price", &[1.0, f64::INFINITY]).is_err(), "infinite cut");
+        assert!(bucket("dish", &[1.0]).is_err(), "bucket on a join key");
+        assert!(bucket("nope", &[1.0]).is_err(), "unknown attribute");
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod stats;
 pub mod viewcache;
 
 pub use backend::{all_engines, to_scan_query, Engine, FactorizedEngine, FlatEngine, LmfaoEngine};
-pub use batch::{AggBatch, Aggregate, FilterOp, Fn1};
+pub use batch::{AggBatch, Aggregate, FilterOp, Fn1, GroupKey};
 pub use batchgen::{covariance_batch, decision_node_batch, kmeans_batch, mutual_info_batch};
 pub use classical::{eval_agg, eval_agg_batch, AggResult, ScanQuery};
 pub use dispatch::{DispatchEngine, EngineChoice};

@@ -9,7 +9,7 @@
 //! consolidated into *views* (one per group-by signature), ready for the
 //! shared scan in [`crate::exec`].
 
-use crate::batch::{Aggregate, FilterOp, Fn1};
+use crate::batch::{key_names, sorted_keys, Aggregate, FilterOp, Fn1, GroupKey};
 use crate::group::{GroupIndex, KeySpace, DENSE_GROUP_BYTES, DENSE_KEY_LIMIT};
 use fdb_data::{DataError, Database, Relation};
 use fdb_factorized::hypergraph::Hypergraph;
@@ -50,9 +50,14 @@ impl GroupSpec {
 /// A consolidated view at a node: one group-by signature, many slots.
 #[derive(Debug)]
 pub(crate) struct ViewPlan {
-    /// Bubbled group-by attributes, sorted by name.
+    /// Bubbled group-by keys, sorted by canonical name.
+    pub(crate) group_keys: Vec<GroupKey>,
+    /// The canonical names of `group_keys` (what signatures, consolidation
+    /// and results go by).
     pub(crate) group_attrs: Vec<String>,
     /// Local group columns: (position in group key, column in relation).
+    /// A bucket key's column is coded through the cuts at
+    /// `group_keys[position]`.
     pub(crate) local_groups: Vec<(usize, usize)>,
     /// Per node-child: (child view index, mapping (my position, child
     /// position) for the child's group values).
@@ -492,19 +497,19 @@ impl Plan {
             }
         }
         local_filter.sort_by_key(|(c, _)| *c);
-        let mut local_group_attrs: Vec<String> = Vec::new();
-        let mut group_attrs: Vec<String> = Vec::new();
+        let mut local_group_keys: Vec<&GroupKey> = Vec::new();
+        let mut group_keys: Vec<GroupKey> = Vec::new();
         for g in &agg.group_by {
-            let (n, _col) = self.resolve(g)?;
+            let (n, _col) = self.resolve(g.attr())?;
             if n == node {
-                local_group_attrs.push(g.clone());
+                local_group_keys.push(g);
             }
             if self.subtree[node].contains(&n) {
-                group_attrs.push(g.clone());
+                group_keys.push(g.clone());
             }
         }
-        group_attrs.sort();
-        group_attrs.dedup();
+        let group_keys = sorted_keys(&group_keys);
+        let group_attrs = key_names(&group_keys);
 
         // Signatures.
         let mut sig = String::new();
@@ -532,14 +537,18 @@ impl Plan {
         let view_idx = match self.nodes[node].view_registry.get(&view_sig) {
             Some(&v) => v,
             None => {
-                let local_groups: Vec<(usize, usize)> = local_group_attrs
+                let mut local_groups: Vec<(usize, usize)> = local_group_keys
                     .iter()
                     .map(|g| {
-                        let pos = group_attrs.iter().position(|x| x == g).expect("local ⊆ all");
-                        let (_, col) = self.owner[g];
+                        let name = g.name();
+                        let pos = group_attrs.iter().position(|x| *x == name).expect("local ⊆ all");
+                        let (_, col) = self.owner[g.attr()];
                         (pos, col)
                     })
                     .collect();
+                // A key listed twice in the aggregate is one position.
+                local_groups.sort_unstable();
+                local_groups.dedup();
                 // Child view + group mapping per child. The child view for
                 // this group signature is the view its (view,slot) result
                 // lives in — recorded in child_results.
@@ -559,6 +568,7 @@ impl Plan {
                     child_views.push((cv, mapping));
                 }
                 let v = ViewPlan {
+                    group_keys,
                     group_attrs: group_attrs.clone(),
                     local_groups,
                     child_views,
@@ -673,7 +683,8 @@ impl Plan {
     ///   attribute's owning column (bounded by `dense_limit` codes and
     ///   [`DENSE_GROUP_BYTES`] of payload): every group value ever written
     ///   originates from that column, so dense inserts cannot fall out of
-    ///   range.
+    ///   range. A bucket key's range is its fixed code domain
+    ///   `[0, cuts.len()]`, whatever the data.
     ///
     /// `dense_limit == 0` disables both dense paths (the Figure 6 hash
     /// baseline). `rels` are the node relations the plan was built from,
@@ -694,11 +705,14 @@ impl Plan {
             for view in &mut node.views {
                 view.spec.slots = view.slots.len();
                 let ranges: Option<Vec<(i64, i64)>> = view
-                    .group_attrs
+                    .group_keys
                     .iter()
-                    .map(|g| {
-                        let (n, c) = self.owner[g];
-                        rels[n].int_min_max(c)
+                    .map(|g| match g.cuts() {
+                        Some(cuts) => Some((0, cuts.len() as i64)),
+                        None => {
+                            let (n, c) = self.owner[g.attr()];
+                            rels[n].int_min_max(c)
+                        }
                     })
                     .collect();
                 // The byte bound also keeps every code inside the `u32`

@@ -1,18 +1,26 @@
 //! CART decision trees trained **in-database** (§2.2).
 //!
-//! Every node's split costs come from one LMFAO aggregate batch: for each
-//! candidate condition, `SUM(1)`, `SUM(y)`, `SUM(y²)` (regression,
-//! variance) or class counts (classification, Gini) — all filtered by the
-//! node's conjunctive path condition, all evaluated in a single shared pass
-//! over the join. The data matrix is never materialized.
+//! Every node's split costs come from one aggregate batch over the join,
+//! filtered by the node's conjunctive path condition and evaluated in a
+//! single shared pass; the data matrix is never materialized. The batch
+//! holds the node totals plus **one histogram per feature**: `SUM(1)`,
+//! `SUM(y)`, `SUM(y²)` (regression, variance) or class counts
+//! (classification, Gini), grouped by the bucket of a continuous feature
+//! among its thresholds ([`GroupKey::Bucket`]) or by a categorical
+//! feature's code. The yes-side of `x ≥ t_j` is then the suffix sum of the
+//! buckets above `t_j`, and the yes-side of `x = v` is group `v` — the
+//! sharing LMFAO's decision-tree batches exploit (§4), where asking for
+//! every candidate condition as its own filtered aggregate would cost one
+//! aggregate per threshold.
 //!
 //! Candidate thresholds are fixed up-front from the global feature
 //! distribution, "decided in advance based on the distribution of values"
 //! exactly as the paper prescribes.
 
 use crate::reuse::ViewReuse;
-use fdb_core::{AggBatch, AggQuery, Aggregate, Engine, FilterOp};
+use fdb_core::{AggBatch, AggQuery, Aggregate, BatchResult, Engine, FilterOp, GroupKey};
 use fdb_data::{DataError, Database, Relation};
+use std::collections::{BTreeMap, HashMap};
 
 /// Tree-fitting configuration.
 #[derive(Debug, Clone, Copy)]
@@ -100,7 +108,7 @@ struct Fitter<'a> {
     db: &'a Database,
     rels: Vec<&'a str>,
     response: &'a str,
-    candidates: Vec<Split>,
+    families: Vec<Family>,
     cfg: TreeConfig,
     engine: &'a dyn Engine,
     batches_run: usize,
@@ -152,13 +160,13 @@ impl DecisionTree {
         classification: bool,
     ) -> Result<Self, DataError> {
         let (fitted, view_reuse) = ViewReuse::measure(|| -> Result<_, DataError> {
-            let candidates =
-                candidate_splits(db, relations, continuous, categorical, cfg.thresholds, engine)?;
+            let families =
+                candidate_families(db, relations, continuous, categorical, cfg.thresholds, engine)?;
             let mut fitter = Fitter {
                 db,
                 rels: relations.to_vec(),
                 response,
-                candidates,
+                families,
                 cfg,
                 engine,
                 batches_run: 0,
@@ -201,17 +209,65 @@ impl DecisionTree {
     }
 }
 
-/// Builds the global candidate split list: equi-spaced thresholds within
+/// Relative cost difference below which two candidate splits tie.
+pub const COST_TIE: f64 = 1e-10;
+
+/// The candidate splits on one feature and the group-by key whose
+/// histogram answers them all: `Bucket(x, t_0..t_k)` for the thresholds
+/// `x ≥ t_j` of a continuous feature, `x` for the codes `x = v` of a
+/// categorical one.
+struct Family {
+    key: GroupKey,
+    splits: Vec<Split>,
+}
+
+impl Family {
+    /// Per split, its yes-side statistic from the family's histogram
+    /// `hist` (group code → statistic; absent codes are empty). Threshold
+    /// `j` takes the suffix over bucket codes `≥ j + 1`, since a bucket code
+    /// counts the thresholds at or below the value; a code `v` takes group
+    /// `v`.
+    fn yes_sides<T: Clone + Default>(
+        &self,
+        hist: &HashMap<i64, T>,
+        add: impl Fn(&mut T, &T),
+    ) -> Vec<T> {
+        match &self.key {
+            GroupKey::Bucket { cuts, .. } => {
+                let mut yes = vec![T::default(); cuts.len()];
+                let mut acc = T::default();
+                for code in (1..=cuts.len()).rev() {
+                    if let Some(h) = hist.get(&(code as i64)) {
+                        add(&mut acc, h);
+                    }
+                    yes[code - 1] = acc.clone();
+                }
+                yes
+            }
+            GroupKey::Attr(_) => self
+                .splits
+                .iter()
+                .map(|s| match s {
+                    Split::Eq(_, v) => hist.get(v).cloned().unwrap_or_default(),
+                    Split::Ge(..) => unreachable!("categorical families hold equalities"),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Builds the global candidate families: equi-spaced thresholds within
 /// mean ± 2σ per continuous attribute (from one statistics batch), plus
-/// per-category equality conditions for categorical attributes.
-fn candidate_splits(
+/// per-category equality conditions for categorical attributes. A
+/// continuous attribute whose mean or σ is not finite gets no candidates.
+fn candidate_families(
     db: &Database,
     relations: &[&str],
     continuous: &[&str],
     categorical: &[&str],
     thresholds: usize,
     engine: &dyn Engine,
-) -> Result<Vec<Split>, DataError> {
+) -> Result<Vec<Family>, DataError> {
     let mut batch = AggBatch::new();
     batch.push(Aggregate::count());
     for c in continuous {
@@ -228,27 +284,62 @@ fn candidate_splits(
         let mean = res.scalar(1 + 2 * i) / n;
         let var = (res.scalar(2 + 2 * i) / n - mean * mean).max(0.0);
         let std = var.sqrt();
-        for j in 0..thresholds {
-            let frac = (j as f64 + 1.0) / (thresholds as f64 + 1.0);
-            let t = mean - 2.0 * std + 4.0 * std * frac;
-            out.push(Split::Ge(c.to_string(), t));
+        if thresholds == 0 || !mean.is_finite() || !std.is_finite() {
+            continue;
         }
+        let cuts: Vec<f64> = (0..thresholds)
+            .map(|j| {
+                let frac = (j as f64 + 1.0) / (thresholds as f64 + 1.0);
+                mean - 2.0 * std + 4.0 * std * frac
+            })
+            .collect();
+        let splits = cuts.iter().map(|&t| Split::Ge(c.to_string(), t)).collect();
+        out.push(Family { key: GroupKey::Bucket { attr: c.to_string(), cuts }, splits });
     }
     for (k, x) in categorical.iter().enumerate() {
         let idx = 1 + 2 * continuous.len() + k;
         let mut codes: Vec<i64> = res.grouped(idx).keys().map(|key| key[0]).collect();
         codes.sort_unstable();
         codes.truncate(16);
-        for v in codes {
-            out.push(Split::Eq(x.to_string(), v));
+        if codes.is_empty() {
+            continue;
         }
+        let splits = codes.into_iter().map(|v| Split::Eq(x.to_string(), v)).collect();
+        out.push(Family { key: GroupKey::Attr(x.to_string()), splits });
     }
     Ok(out)
 }
 
+/// The global candidate splits in the order the trainer considers them
+/// (ties in cost go to the earlier candidate): per continuous attribute
+/// its thresholds ascending, then per categorical attribute its first 16
+/// codes ascending.
+pub fn candidate_splits(
+    db: &Database,
+    relations: &[&str],
+    continuous: &[&str],
+    categorical: &[&str],
+    thresholds: usize,
+    engine: &dyn Engine,
+) -> Result<Vec<Split>, DataError> {
+    let families = candidate_families(db, relations, continuous, categorical, thresholds, engine)?;
+    Ok(families.into_iter().flat_map(|f| f.splits).collect())
+}
+
+/// `agg` with `key` appended to its group-by.
+fn grouped(mut agg: Aggregate, key: &GroupKey) -> Aggregate {
+    agg.group_by.push(key.clone());
+    agg
+}
+
+/// The position of the key named `name` in aggregate `i`'s result keys.
+fn key_pos(res: &BatchResult, i: usize, name: &str) -> usize {
+    res.groups[i].iter().position(|g| g == name).expect("the aggregate groups by the key")
+}
+
 impl<'a> Fitter<'a> {
     /// Fits the node whose population satisfies `path` (a conjunction of
-    /// split conditions), using one LMFAO batch for all candidates.
+    /// split conditions), using one batch for all candidates.
     fn fit_node(&mut self, path: Vec<(String, FilterOp)>, depth: usize) -> Result<Node, DataError> {
         if self.classification {
             self.fit_node_gini(path, depth)
@@ -264,22 +355,67 @@ impl<'a> Fitter<'a> {
         agg
     }
 
+    /// The lowest-cost candidate among those leaving at least
+    /// `min_samples` tuples on both sides: `yes[f][j]` is the yes-side
+    /// statistic of split `j` of family `f`, `count` its two sides' tuple
+    /// counts and `cost` their total cost. Costs within [`COST_TIE`] of
+    /// each other tie, and ties go to the earlier candidate: two
+    /// candidates that cut the join into the same two sides sum their
+    /// histograms over different buckets, so their costs may differ in the
+    /// last bits only.
+    fn best_split<T>(
+        &self,
+        yes: &[Vec<T>],
+        count: impl Fn(&T) -> (f64, f64),
+        cost: impl Fn(&T) -> f64,
+    ) -> Option<(Split, f64)> {
+        let mut best: Option<(&Split, f64)> = None;
+        for (fam, ys) in self.families.iter().zip(yes) {
+            for (split, y) in fam.splits.iter().zip(ys) {
+                let (ny, nn) = count(y);
+                if ny < self.cfg.min_samples || nn < self.cfg.min_samples {
+                    continue;
+                }
+                let c = cost(y);
+                if best.is_none_or(|(_, b)| c < b - COST_TIE * b.abs()) {
+                    best = Some((split, c));
+                }
+            }
+        }
+        best.map(|(s, c)| (s.clone(), c))
+    }
+
+    /// Recurses into both sides of `split` below the node at `path`.
+    fn split_node(
+        &mut self,
+        split: Split,
+        path: Vec<(String, FilterOp)>,
+        depth: usize,
+    ) -> Result<Node, DataError> {
+        let mut left_path = path.clone();
+        left_path.push(split.yes());
+        let mut right_path = path;
+        right_path.push(split.no());
+        let left = self.fit_node(left_path, depth + 1)?;
+        let right = self.fit_node(right_path, depth + 1)?;
+        Ok(Node::Split { split, left: Box::new(left), right: Box::new(right) })
+    }
+
     fn fit_node_variance(
         &mut self,
         path: Vec<(String, FilterOp)>,
         depth: usize,
     ) -> Result<Node, DataError> {
         let y = self.response;
-        // Batch: node totals + per-candidate yes-side moments.
+        // Batch: node totals + per-family {COUNT, SUM(y), SUM(y²)} histograms.
         let mut batch = AggBatch::new();
         batch.push(self.with_path(Aggregate::count(), &path));
         batch.push(self.with_path(Aggregate::sum(y), &path));
         batch.push(self.with_path(Aggregate::sum_prod(y, y), &path));
-        for cand in &self.candidates {
-            let (a, op) = cand.yes();
-            batch.push(self.with_path(Aggregate::count().filtered(&a, op.clone()), &path));
-            batch.push(self.with_path(Aggregate::sum(y).filtered(&a, op.clone()), &path));
-            batch.push(self.with_path(Aggregate::sum_prod(y, y).filtered(&a, op), &path));
+        for fam in &self.families {
+            for agg in [Aggregate::count(), Aggregate::sum(y), Aggregate::sum_prod(y, y)] {
+                batch.push(self.with_path(grouped(agg, &fam.key), &path));
+            }
         }
         let res = self.engine.run(self.db, &AggQuery::new(&self.rels, batch))?;
         self.batches_run += 1;
@@ -291,34 +427,37 @@ impl<'a> Fitter<'a> {
         if depth >= self.cfg.max_depth || n < 2.0 * self.cfg.min_samples {
             return Ok(leaf);
         }
+        let yes: Vec<Vec<[f64; 3]>> = self
+            .families
+            .iter()
+            .enumerate()
+            .map(|(f, fam)| {
+                let mut hist: HashMap<i64, [f64; 3]> = HashMap::new();
+                for m in 0..3 {
+                    for (key, v) in res.grouped(3 + 3 * f + m) {
+                        hist.entry(key[0]).or_default()[m] = *v;
+                    }
+                }
+                fam.yes_sides(&hist, |acc, h| {
+                    for m in 0..3 {
+                        acc[m] += h[m];
+                    }
+                })
+            })
+            .collect();
         // Pick the best candidate by total SSE of the two sides.
-        let mut best: Option<(usize, f64)> = None;
-        for (ci, _) in self.candidates.iter().enumerate() {
-            let (ny, sy, ssy) =
-                (res.scalar(3 + 3 * ci), res.scalar(4 + 3 * ci), res.scalar(5 + 3 * ci));
-            let (nn, sn, ssn) = (n - ny, s - sy, ss - ssy);
-            if ny < self.cfg.min_samples || nn < self.cfg.min_samples {
-                continue;
-            }
-            let cost = sse(ny, sy, ssy) + sse(nn, sn, ssn);
-            if best.is_none_or(|(_, b)| cost < b) {
-                best = Some((ci, cost));
-            }
-        }
-        let Some((ci, cost)) = best else {
+        let best = self.best_split(
+            &yes,
+            |&[ny, ..]| (ny, n - ny),
+            |&[ny, sy, ssy]| sse(ny, sy, ssy) + sse(n - ny, s - sy, ss - ssy),
+        );
+        let Some((split, cost)) = best else {
             return Ok(leaf);
         };
         if node_sse - cost < self.cfg.min_gain * node_sse.max(1.0) {
             return Ok(leaf);
         }
-        let split = self.candidates[ci].clone();
-        let mut left_path = path.clone();
-        left_path.push(split.yes());
-        let mut right_path = path;
-        right_path.push(split.no());
-        let left = self.fit_node(left_path, depth + 1)?;
-        let right = self.fit_node(right_path, depth + 1)?;
-        Ok(Node::Split { split, left: Box::new(left), right: Box::new(right) })
+        self.split_node(split, path, depth)
     }
 
     fn fit_node_gini(
@@ -327,62 +466,71 @@ impl<'a> Fitter<'a> {
         depth: usize,
     ) -> Result<Node, DataError> {
         let y = self.response;
+        // Batch: node class counts + per-family class-count histograms.
         let mut batch = AggBatch::new();
         batch.push(self.with_path(Aggregate::count().by(&[y]), &path));
-        for cand in &self.candidates {
-            let (a, op) = cand.yes();
-            batch.push(self.with_path(Aggregate::count().by(&[y]).filtered(&a, op), &path));
+        for fam in &self.families {
+            batch.push(self.with_path(grouped(Aggregate::count().by(&[y]), &fam.key), &path));
         }
         let res = self.engine.run(self.db, &AggQuery::new(&self.rels, batch))?;
         self.batches_run += 1;
-        let class_counts = |i: usize| -> std::collections::HashMap<i64, f64> {
-            res.grouped(i).iter().map(|(k, v)| (k[0], *v)).collect()
-        };
-        let totals = class_counts(0);
+        // Class maps are ordered, so sums over them (and the majority's
+        // tie-break) do not depend on hash order.
+        let totals: BTreeMap<i64, f64> = res.grouped(0).iter().map(|(k, v)| (k[0], *v)).collect();
         let n: f64 = totals.values().sum();
-        let gini = |counts: &std::collections::HashMap<i64, f64>| -> f64 {
+        let gini = |counts: &BTreeMap<i64, f64>| -> f64 {
             let m: f64 = counts.values().sum();
             if m <= 0.0 {
                 return 0.0;
             }
             m * (1.0 - counts.values().map(|c| (c / m).powi(2)).sum::<f64>())
         };
-        let majority =
-            totals.iter().max_by(|a, b| a.1.total_cmp(b.1)).map(|(k, _)| *k).unwrap_or(0) as f64;
+        // Tied counts go to the smallest class code.
+        let majority = totals
+            .iter()
+            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
+            .map(|(k, _)| *k)
+            .unwrap_or(0) as f64;
         let leaf = Node::Leaf { prediction: majority, count: n };
         if depth >= self.cfg.max_depth || n < 2.0 * self.cfg.min_samples {
             return Ok(leaf);
         }
         let node_gini = gini(&totals);
-        let mut best: Option<(usize, f64)> = None;
-        for (ci, _) in self.candidates.iter().enumerate() {
-            let yes = class_counts(1 + ci);
-            let ny: f64 = yes.values().sum();
-            let no: std::collections::HashMap<i64, f64> =
-                totals.iter().map(|(k, v)| (*k, v - yes.get(k).copied().unwrap_or(0.0))).collect();
-            let nn: f64 = no.values().sum();
-            if ny < self.cfg.min_samples || nn < self.cfg.min_samples {
-                continue;
-            }
-            let cost = gini(&yes) + gini(&no);
-            if best.is_none_or(|(_, b)| cost < b) {
-                best = Some((ci, cost));
-            }
-        }
-        let Some((ci, cost)) = best else {
+        let yes: Vec<Vec<BTreeMap<i64, f64>>> = self
+            .families
+            .iter()
+            .enumerate()
+            .map(|(f, fam)| {
+                let (ypos, xpos) = (key_pos(&res, 1 + f, y), key_pos(&res, 1 + f, &fam.key.name()));
+                let mut hist: HashMap<i64, BTreeMap<i64, f64>> = HashMap::new();
+                for (key, v) in res.grouped(1 + f) {
+                    hist.entry(key[xpos]).or_default().insert(key[ypos], *v);
+                }
+                fam.yes_sides(&hist, |acc, h| {
+                    for (k, v) in h {
+                        *acc.entry(*k).or_insert(0.0) += v;
+                    }
+                })
+            })
+            .collect();
+        let no = |yes: &BTreeMap<i64, f64>| -> BTreeMap<i64, f64> {
+            totals.iter().map(|(k, v)| (*k, v - yes.get(k).copied().unwrap_or(0.0))).collect()
+        };
+        let best = self.best_split(
+            &yes,
+            |ys| {
+                let ny: f64 = ys.values().sum();
+                (ny, no(ys).values().sum())
+            },
+            |ys| gini(ys) + gini(&no(ys)),
+        );
+        let Some((split, cost)) = best else {
             return Ok(leaf);
         };
         if node_gini - cost < self.cfg.min_gain * node_gini.max(1.0) {
             return Ok(leaf);
         }
-        let split = self.candidates[ci].clone();
-        let mut left_path = path.clone();
-        left_path.push(split.yes());
-        let mut right_path = path;
-        right_path.push(split.no());
-        let left = self.fit_node(left_path, depth + 1)?;
-        let right = self.fit_node(right_path, depth + 1)?;
-        Ok(Node::Split { split, left: Box::new(left), right: Box::new(right) })
+        self.split_node(split, path, depth)
     }
 }
 
@@ -446,6 +594,61 @@ mod tests {
             let p = tree.predict_row(&flat, r).unwrap();
             assert!(p == 0.0 || p == 1.0);
         }
+    }
+
+    #[test]
+    fn gini_leaf_ties_go_to_the_smallest_class_code() {
+        use fdb_data::{AttrType, Schema, Value};
+        // Six classes, two rows each: every class ties, and a depth-0 tree
+        // is one leaf. Each fit builds fresh hash maps, so a hash-ordered
+        // tie-break would wander between fits.
+        let mut rel =
+            Relation::new(Schema::of(&[("y", AttrType::Categorical), ("x", AttrType::Double)]));
+        for code in [9i64, 4, 7, 5, 12, 6] {
+            for x in [0.0, 1.0] {
+                rel.push_row(&[Value::Int(code), Value::F64(x)]).unwrap();
+            }
+        }
+        let mut db = Database::new();
+        db.add("F", rel);
+        for _ in 0..20 {
+            let tree = DecisionTree::fit_classification(
+                &db,
+                &["F"],
+                &["x"],
+                &[],
+                "y",
+                TreeConfig { max_depth: 0, ..TreeConfig::default() },
+                &fdb_core::FlatEngine,
+            )
+            .unwrap();
+            match tree.root {
+                Node::Leaf { prediction, count } => {
+                    assert_eq!((prediction, count), (4.0, 12.0));
+                }
+                Node::Split { .. } => panic!("a depth-0 tree is a leaf"),
+            }
+        }
+    }
+
+    #[test]
+    fn features_without_finite_moments_get_no_candidates() {
+        use fdb_data::{AttrType, Schema, Value};
+        let mut rel = Relation::new(Schema::of(&[
+            ("x", AttrType::Double),
+            ("z", AttrType::Double),
+            ("y", AttrType::Double),
+        ]));
+        for i in 0..40 {
+            let z = if i == 3 { f64::INFINITY } else { i as f64 };
+            rel.push_row(&[Value::F64(i as f64), Value::F64(z), Value::F64(i as f64)]).unwrap();
+        }
+        let mut db = Database::new();
+        db.add("F", rel);
+        let cands =
+            candidate_splits(&db, &["F"], &["z", "x"], &[], 4, &fdb_core::FlatEngine).unwrap();
+        assert_eq!(cands.len(), 4);
+        assert!(cands.iter().all(|c| matches!(c, Split::Ge(a, t) if a == "x" && t.is_finite())));
     }
 
     #[test]

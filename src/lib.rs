@@ -29,7 +29,7 @@ pub mod prelude {
     pub use fdb_core::{
         AggBatch, AggQuery, Aggregate, BatchResult, DispatchEngine, Engine, EngineChoice,
         EngineConfig, EpochDb, FactorizedEngine, FilterOp, FlatEngine, FrontDoor, FrontDoorConfig,
-        LmfaoEngine, MaintState, MaintainableEngine, ServingEngine, ServingStats,
+        GroupKey, LmfaoEngine, MaintState, MaintainableEngine, ServingEngine, ServingStats,
     };
     pub use fdb_data::{AttrType, Attribute, Database, Delta, Relation, Schema, Value};
     pub use fdb_ring::{CovRing, Ring, Semiring};

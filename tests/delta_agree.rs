@@ -304,3 +304,54 @@ fn retailer_fact_insert_is_served_by_delta_propagation() {
     let cold = FlatEngine.run(&shadow, &q).unwrap();
     common::assert_results_match(&cold, &got, "fact insert", q.batch.len(), 1e-9);
 }
+
+/// Bucketed group-by keys under deltas (`common::bucket_panel`): fact
+/// inserts whose bucketed values lie far outside every prepare-time range
+/// (and NaN/±inf), a fact delete, and a dimension update moving `u` past
+/// the top cut. Every engine's maintained result tracks cold runs, and
+/// LMFAO folds every delta in along the owner→root path: a bucket key's
+/// code space is fixed, so nothing sends it to the rebuild fallback. A
+/// rebuild would look up the off-path subtrees in the view cache, so
+/// their per-id cache stats stay put — until the control delta at the
+/// end, whose join key leaves the prepared range, does fall back.
+#[test]
+fn bucketed_keys_are_maintained_without_the_rebuild_fallback() {
+    let (db, q) = common::bucket_panel();
+    let fact = |a: i64, y: f64| {
+        vec![Value::Int(a), Value::Int(a % 5), Value::Int(a % 3), Value::F64(0.375), Value::F64(y)]
+    };
+    let mut many = Delta::new("F");
+    for (i, y) in [1e6, f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -7.5].into_iter().enumerate() {
+        many.push_insert(fact(i as i64, y));
+    }
+    let deltas = vec![
+        Delta::insert("F", fact(2, 1e9)),
+        many,
+        Delta::delete("F", db.get("F").unwrap().row_vec(3)),
+        Delta::new("D1").with_delete(db.get("D1").unwrap().row_vec(1)).with_insert(vec![
+            Value::Int(1),
+            Value::Int(1),
+            Value::F64(10.0),
+        ]),
+    ];
+    check_stream(&db, &q, &deltas);
+
+    let cache = fdb::lmfao::ViewCache::global();
+    let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
+    let mut st = engine.prepare(&db, &q).unwrap();
+    let d2 = db.get("D2").unwrap().data_id();
+    let mut shadow = db.clone();
+    for (step, d) in deltas.iter().enumerate() {
+        // D2 is off every delta's owner→root path here.
+        let before = cache.stats_for_id(d2);
+        let got = engine.apply_delta(&mut st, d).unwrap();
+        assert_eq!(cache.stats_for_id(d2), before, "delta {step} fell back to a rebuild");
+        shadow.apply_delta(d).unwrap();
+        let cold = FlatEngine.run(&shadow, &q).unwrap();
+        common::assert_results_match(&cold, &got, &format!("delta {step}"), q.batch.len(), 0.0);
+    }
+    // Control: a fact join key outside the prepared range does rebuild.
+    let before = cache.stats_for_id(d2);
+    engine.apply_delta(&mut st, &Delta::insert("F", fact(40, 1.0))).unwrap();
+    assert_ne!(cache.stats_for_id(d2), before, "the out-of-range key falls back");
+}

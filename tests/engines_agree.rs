@@ -91,6 +91,17 @@ fn all_backends_agree_on_retailer() {
     assert_engines_agree(&ds.db, &AggQuery::new(&rels, node));
 }
 
+/// Bucketed group-by keys (`common::bucket_panel`) through every engine of
+/// the panel, the hash baseline included, and against the classical
+/// oracle.
+#[test]
+fn all_backends_agree_on_bucketed_keys() {
+    let (db, q) = common::bucket_panel();
+    let res = assert_engines_agree(&db, &q);
+    assert_results_match(&common::oracle(&db, &q), &res, "oracle", q.batch.len());
+    assert!(res.grouped(0).len() == 4, "every `y` bucket is populated");
+}
+
 #[test]
 fn fivm_streams_to_the_same_covariance_stats() {
     let ds = fdb::datasets::retailer(fdb::datasets::RetailerConfig::tiny());

@@ -413,3 +413,75 @@ fn multi_group_entries_under_fact_inserts_match_cold_flat() {
         }
     }
 }
+
+/// Bucketed group-by keys (see `common::bucket_panel`): every LMFAO
+/// configuration, the flat and factorized engines and the classical
+/// oracle agree bit for bit on dyadic data, NaN/±inf rows landing in the
+/// buckets the key's definition names.
+#[test]
+fn bucketed_keys_agree_bit_for_bit_across_the_sweep() {
+    let (db, q) = common::bucket_panel();
+    let base = common::oracle(&db, &q);
+    // NaN and -inf rows of `y` land in bucket 0, +inf in the top bucket.
+    let count_y = base.grouped(0);
+    assert!(count_y[&[0i64][..]] >= 15.0 && count_y[&[3i64][..]] >= 7.0, "{count_y:?}");
+    // The duplicate cut on `v` leaves bucket 2 empty.
+    assert!(base.grouped(6).keys().all(|k| k[0] != 2));
+    let mut panel: Vec<(String, Box<dyn Engine>)> = vec![
+        ("flat".into(), Box::new(FlatEngine)),
+        ("factorized".into(), Box::new(FactorizedEngine::new())),
+    ];
+    for (tag, cfg) in lmfao_sweep() {
+        panel.push((tag, Box::new(LmfaoEngine::with_config(cfg))));
+    }
+    for (tag, engine) in &panel {
+        let got = engine.run(&db, &q).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        common::assert_results_match(&base, &got, tag, q.batch.len(), 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A bucket key is its range-filter expansion: through the classical
+    /// oracle, bucket `k ≥ 1` of `SUM(x) GROUP BY c, Bucket(u)` equals
+    /// `SUM(x) GROUP BY c WHERE u ≥ cuts[k-1] ∧ u < cuts[k]`, and bucket 0
+    /// equals the unbucketed sum minus every other bucket. Random cuts, duplicates included; dyadic data, so exact.
+    #[test]
+    fn bucket_key_equals_its_range_filter_expansion(
+        rows in proptest::collection::vec((0i64..4, 0i64..4, -5i8..5), 0..25),
+        d1 in proptest::collection::vec((0i64..4, -5i8..5), 0..8),
+        d2 in proptest::collection::vec((0i64..4, -5i8..5), 0..8),
+        raw_cuts in proptest::collection::vec(-6i8..6, 1..5),
+    ) {
+        let db = snowflake(&rows, &d1, &d2);
+        let mut cuts: Vec<f64> = raw_cuts.iter().map(|&c| c as f64 / 2.0).collect();
+        cuts.sort_by(f64::total_cmp);
+        let mut batch = AggBatch::new();
+        batch.push(Aggregate::sum("x").by(&["c"]).by_bucket("u", &cuts));
+        batch.push(Aggregate::sum("x").by(&["c"]));
+        for k in 1..=cuts.len() {
+            let mut agg = Aggregate::sum("x").by(&["c"]).filtered("u", FilterOp::Ge(cuts[k - 1]));
+            if k < cuts.len() {
+                agg = agg.filtered("u", FilterOp::Lt(cuts[k]));
+            }
+            batch.push(agg);
+        }
+        let q = AggQuery::new(&["F", "D1", "D2"], batch);
+        let res = common::oracle(&db, &q);
+        let mut expect: std::collections::HashMap<Box<[i64]>, f64> = Default::default();
+        let mut bucket0 = res.grouped(1).clone();
+        for k in 1..=cuts.len() {
+            for (key, v) in res.grouped(1 + k) {
+                *bucket0.entry(key.clone()).or_insert(0.0) -= v;
+                expect.insert(vec![key[0], k as i64].into(), *v);
+            }
+        }
+        for (key, v) in bucket0 {
+            if v != 0.0 {
+                expect.insert(vec![key[0], 0].into(), v);
+            }
+        }
+        prop_assert_eq!(res.grouped(0), &expect);
+    }
+}

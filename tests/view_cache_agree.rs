@@ -190,3 +190,43 @@ fn dish_filter_revisits_cached_vs_cold() {
     db.get_mut("Items").unwrap().push_row(&row).unwrap();
     run_round(&db, "mutated");
 }
+
+/// Bucket keys in view-cache keys: runs over one database that bucket the
+/// same attribute by different cuts never serve each other's views (the
+/// cuts are part of the key's canonical name, so of every signature),
+/// while an identical rerun is served from the cache.
+#[test]
+fn different_cuts_never_share_cached_views() {
+    let (db, _) = common::bucket_panel();
+    let rels = ["F", "D1", "D2"];
+    let query = |cuts: &[f64]| {
+        let mut batch = AggBatch::new();
+        batch.push(Aggregate::count().by_bucket("u", cuts));
+        batch.push(Aggregate::sum("x").by(&["c"]).by_bucket("u", cuts));
+        AggQuery::new(&rels, batch)
+    };
+    let (qa, qb) = (query(&[-0.5, 0.0, 0.75]), query(&[-0.5, 0.0, 0.5]));
+    let cache = fdb::lmfao::ViewCache::global();
+    // D1 owns `u`: its views are the ones the cuts change.
+    let d1 = db.get("D1").unwrap().data_id();
+    let engine = LmfaoEngine::with_config(EngineConfig::sequential());
+    let mut last = cache.stats_for_id(d1);
+    let mut run = |q: &AggQuery, tag: &str, hit: bool| {
+        let got = engine.run(&db, q).unwrap();
+        common::assert_results_match(
+            &FlatEngine.run(&db, q).unwrap(),
+            &got,
+            tag,
+            q.batch.len(),
+            0.0,
+        );
+        let now = cache.stats_for_id(d1);
+        let (hits, misses) = (now.0 - last.0, now.1 - last.1);
+        assert_eq!((hits > 0, misses > 0), (hit, !hit), "{tag}: D1 hits {hits}, misses {misses}");
+        last = now;
+    };
+    run(&qa, "cold, cuts a", false);
+    run(&qb, "cuts b after a", false);
+    run(&qa, "cuts a again", true);
+    run(&qb, "cuts b again", true);
+}

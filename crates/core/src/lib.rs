@@ -79,9 +79,9 @@ pub use dispatch::{DispatchEngine, EngineChoice};
 pub use frontdoor::{FrontDoor, FrontDoorConfig};
 pub use group::{GroupIndex, KeySpace};
 pub use ir::{AggQuery, BatchResult};
-pub use maintain::{CustomMaint, MaintState, MaintainableEngine};
+pub use maintain::{Changed, CustomMaint, MaintState, MaintainableEngine};
 pub use morsel::DEFAULT_MORSEL_ROWS;
 pub use parallel::EngineConfig;
 pub use serve::{EpochDb, ServingEngine, ServingStats};
-pub use stats::{stats_from_result, sufficient_stats, SufficientStats};
+pub use stats::{patch_stats, stats_from_result, sufficient_stats, SufficientStats};
 pub use viewcache::{ViewCache, ViewCacheStats, DEFAULT_VIEW_CACHE_BYTES};

@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// Cheap to produce ([`Database::snapshot`] clones an `Arc` per relation,
 /// and the answer is the writer's own `Arc`, not a copy) and safe to read
 /// from any number of threads; the writer's next epoch copy-on-writes
-/// mutated relations, never this one.
+/// mutated relations and the answer it patches, never this one's.
 #[derive(Clone)]
 pub struct EpochDb {
     db: Database,
@@ -165,8 +165,8 @@ impl<E: MaintainableEngine> ServingEngine<E> {
     /// evaluation cost once), evaluates the first answer from the prepared
     /// state, and publishes both as the initial epoch.
     pub fn new(engine: E, db: &Database, q: &AggQuery) -> Result<Self, DataError> {
-        let mut st = engine.prepare(db, q)?;
-        let result = Arc::new(engine.eval(&mut st)?);
+        let st = engine.prepare(db, q)?;
+        let result = engine.eval(&st)?;
         let first = Arc::new(EpochDb::new(st.database().snapshot(), result));
         Ok(Self {
             engine,
@@ -249,7 +249,6 @@ impl<E: MaintainableEngine> ServingEngine<E> {
         let mut st = self.writer_lock();
         match self.engine.apply_delta(&mut st, delta) {
             Ok(r) => {
-                let r = Arc::new(r);
                 self.publish(st.database().snapshot(), Arc::clone(&r));
                 self.deltas_applied.fetch_add(1, Ordering::Relaxed);
                 Ok(r)
@@ -430,10 +429,10 @@ mod tests {
             &self,
             st: &mut MaintState,
             delta: &Delta,
-        ) -> Result<BatchResult, DataError> {
+        ) -> Result<Arc<BatchResult>, DataError> {
             self.inner.apply_delta_kind(st, delta)
         }
-        fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
+        fn eval(&self, st: &MaintState) -> Result<Arc<BatchResult>, DataError> {
             self.inner.eval(st)
         }
     }
@@ -574,7 +573,7 @@ mod tests {
             &self,
             st: &mut MaintState,
             delta: &Delta,
-        ) -> Result<BatchResult, DataError> {
+        ) -> Result<Arc<BatchResult>, DataError> {
             if self.armed.swap(false, Ordering::SeqCst) {
                 panic!("apply_delta panic while holding the writer state");
             }

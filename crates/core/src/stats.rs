@@ -10,11 +10,13 @@
 use crate::backend::Engine;
 use crate::batch::AggBatch;
 use crate::batchgen::covariance_batch;
-use crate::ir::AggQuery;
+use crate::ir::{AggQuery, BatchResult};
+use crate::maintain::Changed;
 use fdb_data::{DataError, Database};
 use fdb_factorized::EvalSpec;
 use fdb_ring::{CovRing, CovTriple, Semiring};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Sufficient statistics of a feature extraction query.
 #[derive(Debug, Clone)]
@@ -69,91 +71,138 @@ pub fn sufficient_stats(
     stats_from_result(&res, continuous, categorical)
 }
 
+/// Where one aggregate of the [`covariance_batch`] lands in
+/// [`SufficientStats`].
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    Count,
+    Sum(usize),
+    /// `SUM(ci * cj)` with `i <= j`.
+    Moment(usize, usize),
+    CatCount(usize),
+    /// `(categorical k, continuous i)`.
+    CatSum(usize, usize),
+    /// `(k, l)` with `k < l`, and whether the group key (sorted by
+    /// attribute name) holds `l`'s code first.
+    Pair(usize, usize, bool),
+}
+
+/// The [`covariance_batch`] over `n` continuous × `categorical` features,
+/// aggregate by aggregate in generation order: `SUM(1)`; per continuous
+/// `i` its sum, then its moments with every `j >= i`; per categorical a
+/// count, then its `n` grouped sums; then the categorical pairs.
+fn covariance_layout<S: AsRef<str>>(n: usize, categorical: &[S]) -> Vec<Field> {
+    let m = categorical.len();
+    let mut layout = Vec::with_capacity(covariance_len(n, m));
+    layout.push(Field::Count);
+    for i in 0..n {
+        layout.push(Field::Sum(i));
+        layout.extend((i..n).map(|j| Field::Moment(i, j)));
+    }
+    for k in 0..m {
+        layout.push(Field::CatCount(k));
+        layout.extend((0..n).map(|i| Field::CatSum(k, i)));
+    }
+    for k in 0..m {
+        for l in k + 1..m {
+            layout.push(Field::Pair(k, l, categorical[k].as_ref() > categorical[l].as_ref()));
+        }
+    }
+    layout
+}
+
+/// Aggregates in the [`covariance_batch`] over `n` continuous × `m`
+/// categorical features.
+fn covariance_len(n: usize, m: usize) -> usize {
+    1 + n + n * (n + 1) / 2 + m * (1 + n) + m * m.saturating_sub(1) / 2
+}
+
+fn check_len(res: &BatchResult, n: usize, m: usize) -> Result<(), DataError> {
+    let want = covariance_len(n, m);
+    if res.values.len() == want {
+        return Ok(());
+    }
+    Err(DataError::Invalid(format!(
+        "result carries {} aggregates but the covariance batch over {n} continuous × {m} \
+         categorical features has {want}",
+        res.values.len()
+    )))
+}
+
+impl SufficientStats {
+    /// Stores the value of `field`'s aggregate at group `key`; `None` (the
+    /// result holds no such entry) is `0.0` for a scalar and no entry for a
+    /// group.
+    fn set(&mut self, field: Field, key: &[i64], v: Option<f64>) {
+        fn put<K: Eq + Hash>(map: &mut HashMap<K, f64>, key: K, v: Option<f64>) {
+            match v {
+                Some(v) => map.insert(key, v),
+                None => map.remove(&key),
+            };
+        }
+        match field {
+            Field::Count => self.count = v.unwrap_or(0.0),
+            Field::Sum(i) => self.sum[i] = v.unwrap_or(0.0),
+            Field::Moment(i, j) => self.q[j * (j + 1) / 2 + i] = v.unwrap_or(0.0),
+            Field::CatCount(k) => put(&mut self.cat_counts[k], key[0], v),
+            Field::CatSum(k, i) => put(&mut self.cat_cont_sums[k][i], key[0], v),
+            Field::Pair(k, l, swap) => {
+                let codes = if swap { (key[1], key[0]) } else { (key[0], key[1]) };
+                put(self.cat_pair_counts.entry((k, l)).or_default(), codes, v);
+            }
+        }
+    }
+}
+
 /// Assembles [`SufficientStats`] from an already computed result of the
 /// [`covariance_batch`] over `continuous` × `categorical` — the seam the
 /// delta layer trains through: a `MaintainableEngine::apply_delta` call
 /// returns the maintained batch result, and this function (plus a `d×d`
 /// solve) turns it into a refreshed model with no further data access.
+/// [`patch_stats`] keeps the outcome current under later deltas.
 pub fn stats_from_result(
-    res: &crate::ir::BatchResult,
+    res: &BatchResult,
     continuous: &[&str],
     categorical: &[&str],
 ) -> Result<SufficientStats, DataError> {
-    let batch: AggBatch = covariance_batch(continuous, categorical);
-    if res.values.len() != batch.len() {
-        return Err(DataError::Invalid(format!(
-            "result carries {} aggregates but the covariance batch over {} continuous × {} \
-             categorical features has {}",
-            res.values.len(),
-            continuous.len(),
-            categorical.len(),
-            batch.len()
-        )));
-    }
-    let n = continuous.len();
-    let m = categorical.len();
-    let mut cursor = 0usize;
-    let mut next_scalar = |res: &crate::ir::BatchResult| {
-        let v = res.scalar(cursor);
-        cursor += 1;
-        v
-    };
-    let count = next_scalar(res);
-    let mut sum = vec![0.0; n];
-    let mut q = vec![0.0; n * (n + 1) / 2];
-    for i in 0..n {
-        sum[i] = next_scalar(res);
-        for j in i..n {
-            let v = next_scalar(res);
-            let (hi, lo) = (j, i); // j >= i
-            q[hi * (hi + 1) / 2 + lo] = v;
-        }
-    }
-    let mut cat_counts = Vec::with_capacity(m);
-    let mut cat_cont_sums = Vec::with_capacity(m);
-    for _k in 0..m {
-        let mut cc: HashMap<i64, f64> = HashMap::new();
-        for (key, v) in res.grouped(cursor) {
-            cc.insert(key[0], *v);
-        }
-        cursor += 1;
-        cat_counts.push(cc);
-        let mut per_cont = Vec::with_capacity(n);
-        for _i in 0..n {
-            let mut cs: HashMap<i64, f64> = HashMap::new();
-            for (key, v) in res.grouped(cursor) {
-                cs.insert(key[0], *v);
-            }
-            cursor += 1;
-            per_cont.push(cs);
-        }
-        cat_cont_sums.push(per_cont);
-    }
-    let mut cat_pair_counts = HashMap::new();
-    for k in 0..m {
-        for l in k + 1..m {
-            // Group key order is sorted by attribute name.
-            let swap = categorical[k] > categorical[l];
-            let mut map: HashMap<(i64, i64), f64> = HashMap::new();
-            for (key, v) in res.grouped(cursor) {
-                let (a, b) = if swap { (key[1], key[0]) } else { (key[0], key[1]) };
-                map.insert((a, b), *v);
-            }
-            cursor += 1;
-            cat_pair_counts.insert((k, l), map);
-        }
-    }
-    debug_assert_eq!(cursor, batch.len());
-    Ok(SufficientStats {
+    let (n, m) = (continuous.len(), categorical.len());
+    check_len(res, n, m)?;
+    let mut stats = SufficientStats {
         cont: continuous.iter().map(|s| s.to_string()).collect(),
         cat: categorical.iter().map(|s| s.to_string()).collect(),
-        count,
-        sum,
-        q,
-        cat_counts,
-        cat_cont_sums,
-        cat_pair_counts,
-    })
+        count: 0.0,
+        sum: vec![0.0; n],
+        q: vec![0.0; n * (n + 1) / 2],
+        cat_counts: vec![HashMap::new(); m],
+        cat_cont_sums: vec![vec![HashMap::new(); n]; m],
+        cat_pair_counts: (0..m)
+            .flat_map(|k| (k + 1..m).map(move |l| ((k, l), HashMap::new())))
+            .collect(),
+    };
+    for (agg, field) in covariance_layout(n, categorical).into_iter().enumerate() {
+        for (key, v) in res.grouped(agg) {
+            stats.set(field, key, Some(*v));
+        }
+    }
+    Ok(stats)
+}
+
+/// Brings `stats` — [`stats_from_result`] of a covariance answer — up to
+/// date with `res`, that answer after a delta rewrote the entries
+/// `changed` ([`MaintState::changed`](crate::MaintState::changed)). Only
+/// those entries are touched, and the outcome equals
+/// [`stats_from_result`] of `res` bit for bit.
+pub fn patch_stats(
+    stats: &mut SufficientStats,
+    res: &BatchResult,
+    changed: &Changed,
+) -> Result<(), DataError> {
+    check_len(res, stats.cont.len(), stats.cat.len())?;
+    let layout = covariance_layout(stats.cont.len(), &stats.cat);
+    for (agg, key) in changed {
+        stats.set(layout[*agg], key, res.grouped(*agg).get(key).copied());
+    }
+    Ok(())
 }
 
 /// Computes the continuous block `(count, sums, moments)` with the
@@ -211,6 +260,7 @@ pub fn cov_triple_factorized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Aggregate;
     use fdb_datasets::{retailer, RetailerConfig};
 
     #[test]
@@ -239,6 +289,56 @@ mod tests {
         assert!((pair_total - stats.count).abs() < 1e-6);
         // moment(i,j) is symmetric.
         assert_eq!(stats.moment(0, 2), stats.moment(2, 0));
+    }
+
+    /// The layout names, aggregate by aggregate, what `covariance_batch`
+    /// generates, and its length is the arithmetic count.
+    #[test]
+    fn layout_follows_the_generated_batch() {
+        let cont = ["c0", "c1", "c2", "c3"];
+        let cat = ["x2", "x0", "x1"];
+        for n in 0..=cont.len() {
+            for m in 0..=cat.len() {
+                let batch = covariance_batch(&cont[..n], &cat[..m]);
+                let layout = covariance_layout(n, &cat[..m]);
+                assert_eq!(covariance_len(n, m), batch.len(), "{n} × {m}");
+                assert_eq!(layout.len(), batch.len(), "{n} × {m}");
+                for (agg, field) in batch.aggs.iter().zip(layout) {
+                    let want = match field {
+                        Field::Count => Aggregate::count(),
+                        Field::Sum(i) => Aggregate::sum(cont[i]),
+                        Field::Moment(i, j) => Aggregate::sum_prod(cont[i], cont[j]),
+                        Field::CatCount(k) => Aggregate::count().by(&[cat[k]]),
+                        Field::CatSum(k, i) => Aggregate::sum(cont[i]).by(&[cat[k]]),
+                        Field::Pair(k, l, swap) => {
+                            assert_eq!(swap, cat[k] > cat[l]);
+                            Aggregate::count().by(&[cat[k], cat[l]])
+                        }
+                    };
+                    assert_eq!(*agg, want, "{n} × {m}: {field:?}");
+                }
+            }
+        }
+    }
+
+    /// Pair statistics are keyed in feature order whatever the attribute
+    /// names' order, which decides the group key's.
+    #[test]
+    fn pair_counts_are_keyed_in_feature_order() {
+        let ds = retailer(RetailerConfig::tiny());
+        let rels: Vec<&str> = ds.relation_refs();
+        let engine = crate::backend::LmfaoEngine::default();
+        let cat = ["rain", "category"];
+        let stats = sufficient_stats(&ds.db, &rels, &["prize"], &cat, &engine).unwrap();
+        let mut batch = AggBatch::new();
+        batch.push(Aggregate::count().by(&cat));
+        let direct = engine.run(&ds.db, &AggQuery::new(&rels, batch)).unwrap();
+        let pairs = &stats.cat_pair_counts[&(0, 1)];
+        assert_eq!(pairs.len(), direct.grouped(0).len());
+        for (key, v) in direct.grouped(0) {
+            // The group key is sorted by name: (category, rain).
+            assert_eq!(pairs[&(key[1], key[0])].to_bits(), v.to_bits(), "{key:?}");
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use fdb_core::Engine;
 use fdb_data::{DataError, Database, Delta};
 use fdb_ring::CovTriple;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The F-IVM backend: maintains the covariance triple under a full stream
 /// of the database, then reads the requested aggregates out of it.
@@ -153,7 +154,7 @@ impl CustomMaint for FivmMaint {
         _db: &Database,
         q: &AggQuery,
         delta: &Delta,
-    ) -> Result<BatchResult, DataError> {
+    ) -> Result<Arc<BatchResult>, DataError> {
         // Before the covariance triple mutates: a fault here leaves the
         // maintainer untouched, and the `MaintainableEngine::apply_delta`
         // wrapper rolls the state's database back to match.
@@ -162,11 +163,11 @@ impl CustomMaint for FivmMaint {
         if q.relations.contains(&delta.relation) {
             self.maint.apply_delta(delta)?;
         }
-        Ok(triple_to_result(&self.maint.triple(), &self.slots))
+        Ok(Arc::new(triple_to_result(&self.maint.triple(), &self.slots)))
     }
 
-    fn eval(&mut self, _db: &Database, _q: &AggQuery) -> Result<BatchResult, DataError> {
-        Ok(triple_to_result(&self.maint.triple(), &self.slots))
+    fn eval(&self, _db: &Database, _q: &AggQuery) -> Result<Arc<BatchResult>, DataError> {
+        Ok(Arc::new(triple_to_result(&self.maint.triple(), &self.slots)))
     }
 }
 

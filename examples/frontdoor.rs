@@ -24,6 +24,7 @@ use fdb::data::{DataError, Database, Delta};
 use fdb::datasets::{retailer, RetailerConfig};
 use fdb::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Wraps [`LmfaoEngine`]: the first `n` maintenance calls fail
@@ -59,7 +60,7 @@ impl MaintainableEngine for FlakyEngine {
         &self,
         st: &mut MaintState,
         delta: &Delta,
-    ) -> Result<BatchResult, DataError> {
+    ) -> Result<Arc<BatchResult>, DataError> {
         if self
             .failures
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
@@ -69,7 +70,7 @@ impl MaintainableEngine for FlakyEngine {
         }
         self.inner.apply_delta_kind(st, delta)
     }
-    fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
+    fn eval(&self, st: &MaintState) -> Result<Arc<BatchResult>, DataError> {
         self.inner.eval(st)
     }
 }

@@ -115,7 +115,7 @@ fn empty_delta_batches_are_clean_no_ops() {
     let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
     let mut st = engine.prepare(&db, &q).unwrap();
     let before = epoch(st.database());
-    let baseline = engine.eval(&mut st).unwrap();
+    let baseline = engine.eval(&st).unwrap();
     let got = engine.apply_delta(&mut st, &Delta::new("F")).unwrap();
     common::assert_results_match(&baseline, &got, "empty delta", q.batch.len(), 1e-12);
     assert_epoch("empty delta", st.database(), &before);
@@ -157,7 +157,7 @@ fn mid_batch_schema_mismatches_roll_back_completely() {
     let engine = LmfaoEngine::with_config(EngineConfig { threads: 1, ..Default::default() });
     let mut st = engine.prepare(&db, &q).unwrap();
     let before = epoch(st.database());
-    let good = engine.eval(&mut st).unwrap();
+    let good = engine.eval(&st).unwrap();
     // A valid insert followed by an arity mismatch: the earlier row of
     // the same batch must not stick.
     let arity = Delta::new("F").with_insert(frow(1, 1, 8.0)).with_insert(vec![Value::Int(0)]);
@@ -182,7 +182,7 @@ fn mid_batch_schema_mismatches_roll_back_completely() {
     // The maintained result still serves the last good epoch.
     common::assert_results_match(
         &good,
-        &engine.eval(&mut st).unwrap(),
+        &engine.eval(&st).unwrap(),
         "after rejected batches",
         q.batch.len(),
         1e-12,
@@ -301,6 +301,7 @@ fn worker_panics_surface_as_structured_errors_not_aborts() {
 mod chaos {
     use super::*;
     use fdb::data::fault::{self, FaultPlan};
+    use fdb::lmfao::{stats_from_result, SufficientStats};
     /// splitmix64 — the same tiny deterministic generator the fault plans
     /// use, re-derived here so delta streams reproduce from the seed.
     struct Rng(u64);
@@ -441,7 +442,7 @@ mod chaos {
                     assert_epoch(&tag, st.database(), &last_good);
                     // The recovered state still serves the last epoch.
                     let eval = engine
-                        .eval(&mut st)
+                        .eval(&st)
                         .unwrap_or_else(|e| panic!("{tag}: eval after rollback: {e}"));
                     let cold = FlatEngine.run(&shadow, &q).expect("cold run");
                     common::assert_results_match(&cold, &eval, &tag, q.batch.len(), 1e-9);
@@ -564,7 +565,7 @@ mod chaos {
             assert_epoch(site, st.database(), &before);
             assert_eq!(st.epoch(), before_epoch, "{site}: epoch counter restored");
             let cold = FlatEngine.run(&shadow, &q).unwrap();
-            let eval = engine.eval(&mut st).unwrap();
+            let eval = engine.eval(&st).unwrap();
             common::assert_results_match(&cold, &eval, site, q.batch.len(), 1e-9);
             // The next delta is folded in along the path, not rebuilt.
             let maintained = fdb::lmfao::ViewCache::global().stats().views_maintained;
@@ -584,6 +585,107 @@ mod chaos {
                 1e-9,
             );
         }
+    }
+
+    /// `a` and `b` hold the same numbers, bit for bit, in the same places.
+    fn same_stats_bits(a: &SufficientStats, b: &SufficientStats) -> bool {
+        fn bits<K: Ord + Copy>(m: &std::collections::HashMap<K, f64>) -> Vec<(K, u64)> {
+            let mut v: Vec<(K, u64)> = m.iter().map(|(k, x)| (*k, x.to_bits())).collect();
+            v.sort_unstable();
+            v
+        }
+        let scalars = |s: &SufficientStats| -> Vec<u64> {
+            [s.count].iter().chain(&s.sum).chain(&s.q).map(|x| x.to_bits()).collect()
+        };
+        let groups = |s: &SufficientStats| -> Vec<Vec<(i64, u64)>> {
+            s.cat_counts.iter().chain(s.cat_cont_sums.iter().flatten()).map(bits).collect()
+        };
+        let pairs = |s: &SufficientStats| {
+            let mut v: Vec<_> = s.cat_pair_counts.iter().map(|(k, m)| (*k, bits(m))).collect();
+            v.sort_unstable();
+            v
+        };
+        scalars(a) == scalars(b) && groups(a) == groups(b) && pairs(a) == pairs(b)
+    }
+
+    /// `OnlineRidge` patches its statistics from each delta's change list,
+    /// so after a failed delta — whose rollback rebuilt the state and left
+    /// an answer that is a cold recompute, possibly differing from the
+    /// maintained one in the last bits of a real-valued sum — it must
+    /// re-read them in full. Faults at `maintain-view` and
+    /// `maintain-publish` over real-valued fact inserts and deletes: after
+    /// every delta, `Ok` or `Err`, the statistics equal `stats_from_result`
+    /// of the state's answer bit for bit.
+    #[test]
+    fn online_ridge_stats_follow_the_answer_through_rollbacks() {
+        let _guard = fault_lock();
+        let (cont, cat) = (["u", "v", "x"], ["c", "w"]);
+        let (mut errs, mut resynced) = (0u64, 0u64);
+        for seed in 0..40u64 {
+            let mut rng = Rng(seed ^ 0x5EED);
+            // With the view cache on, the rebuild would be served the last
+            // good epoch's maintained views; off, it recomputes cold.
+            let cfg = EngineConfig { threads: 1, view_cache_bytes: 0, ..Default::default() };
+            let engine = LmfaoEngine::with_config(cfg);
+            fault::mute(true);
+            let mut online = fdb::ml::OnlineRidge::new(
+                &snowflake(6),
+                &["F", "D1", "D2"],
+                &cont,
+                &cat,
+                Box::new(engine),
+                fdb::ml::linreg::RidgeConfig::default(),
+            )
+            .expect("prepare under mute");
+            fault::mute(false);
+            fault::install(
+                FaultPlan::new(seed)
+                    .fail_with_probability("maintain-view", 0.15)
+                    .fail_with_probability("maintain-publish", 0.15),
+            );
+            let mut live: Vec<Vec<Value>> = Vec::new();
+            for step in 0..12 {
+                let tag = format!("seed {seed} step {step}");
+                let delete = live.len() > 1 && rng.below(2) == 0;
+                let row = if delete {
+                    live[rng.below(live.len() as u64) as usize].clone()
+                } else {
+                    // Large values make a delete drop low bits of the
+                    // maintained sums that a cold recompute keeps.
+                    let scale = if rng.below(2) == 0 { 1e12 } else { 1.0 };
+                    let x = scale * (rng.below(1000) as f64 * 0.37 + 0.1);
+                    frow(rng.below(3) as i64, rng.below(2) as i64, x)
+                };
+                let delta = if delete {
+                    Delta::delete("F", row.clone())
+                } else {
+                    Delta::insert("F", row.clone())
+                };
+                let before = online.stats().unwrap();
+                let applied = online.apply_delta(&delta);
+                fault::mute(true);
+                let after = online.stats().unwrap();
+                let answer = online.answer().expect("the maintained answer");
+                let full = stats_from_result(&answer, &cont, &cat).unwrap();
+                assert!(same_stats_bits(&after, &full), "{tag}: stats diverged from the answer");
+                match applied {
+                    Ok(()) if delete => {
+                        live.swap_remove(live.iter().position(|r| *r == row).unwrap());
+                    }
+                    Ok(()) => live.push(row),
+                    Err(_) => {
+                        errs += 1;
+                        resynced += u64::from(!same_stats_bits(&before, &after));
+                    }
+                }
+                fault::mute(false);
+            }
+            fault::clear();
+        }
+        assert!(errs > 0, "no fault ever fired");
+        // The case the re-read exists for must actually occur: a rollback
+        // whose rebuilt answer differs in its bits from the maintained one.
+        assert!(resynced > 0, "no rollback ever changed a bit of the statistics ({errs} errors)");
     }
 
     /// CSV ingest faults surface as clean typed errors (never panics —

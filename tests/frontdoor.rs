@@ -100,7 +100,7 @@ impl MaintainableEngine for FlakyEngine {
         &self,
         st: &mut MaintState,
         delta: &Delta,
-    ) -> Result<BatchResult, DataError> {
+    ) -> Result<Arc<BatchResult>, DataError> {
         if self
             .failures
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
@@ -110,7 +110,7 @@ impl MaintainableEngine for FlakyEngine {
         }
         self.inner.apply_delta_kind(st, delta)
     }
-    fn eval(&self, st: &mut MaintState) -> Result<BatchResult, DataError> {
+    fn eval(&self, st: &MaintState) -> Result<Arc<BatchResult>, DataError> {
         self.inner.eval(st)
     }
 }
@@ -185,7 +185,7 @@ impl MaintainableEngine for PanickyReprepare {
         &self,
         st: &mut MaintState,
         delta: &Delta,
-    ) -> Result<BatchResult, DataError> {
+    ) -> Result<Arc<BatchResult>, DataError> {
         if !self.failed.swap(true, Ordering::SeqCst) {
             return Err(DataError::Invalid("the first delta fails".into()));
         }

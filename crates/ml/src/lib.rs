@@ -16,11 +16,8 @@
 //!   conjunctive path filters (§2.2).
 //! * [`kmeans`] — Lloyd's algorithm and the Rk-means-style grid coreset
 //!   (§3.3) with constant-factor approximation tests.
-//! * [`svm`] — linear SVM by hinge-loss subgradient descent; the additive
-//!   inequality fast path lives in `fdb-ineq` (§2.3).
 //! * [`pca`] — principal components by power iteration over the covariance
 //!   matrix (§2.1).
-//! * [`fm`] — degree-2 factorization machines (SGD).
 //! * [`chowliu`] — mutual information and Chow-Liu trees from the
 //!   mutual-information batch (Figure 5 workload).
 //! * [`fd`] — functional-dependency detection and model reparameterization
@@ -35,7 +32,6 @@
 
 pub mod chowliu;
 pub mod fd;
-pub mod fm;
 pub mod kmeans;
 pub mod linalg;
 pub mod linreg;
@@ -44,7 +40,6 @@ pub mod online;
 pub mod pca;
 pub mod reuse;
 pub mod sgd;
-pub mod svm;
 pub mod tree;
 
 pub use linreg::LinearRegression;

@@ -7,7 +7,7 @@
 //! ```
 
 use fdb::datasets::{favorita, FavoritaConfig};
-use fdb::lmfao::{EngineConfig, LmfaoEngine};
+use fdb::lmfao::{parallel::default_threads, LmfaoEngine};
 use fdb::ml::tree::{DecisionTree, Node, TreeConfig};
 use fdb::query::natural_join_all;
 
@@ -29,7 +29,13 @@ fn print_tree(node: &Node, indent: usize) {
 fn main() {
     let ds = favorita(FavoritaConfig::default());
     let rels: Vec<&str> = ds.relation_refs();
-    println!("Favorita: {} sales rows", ds.db.get("Sales").unwrap().len());
+    let engine = LmfaoEngine::new();
+    println!(
+        "Favorita: {} sales rows, {} threads on {} available cores",
+        ds.db.get("Sales").unwrap().len(),
+        engine.cfg.threads,
+        default_threads()
+    );
     let tree = DecisionTree::fit_regression(
         &ds.db,
         &rels,
@@ -37,7 +43,7 @@ fn main() {
         &["onpromotion", "holidaytype", "perishable"],
         "unitsales",
         TreeConfig { max_depth: 3, min_samples: 50.0, thresholds: 8, min_gain: 1e-6 },
-        &LmfaoEngine::with_config(EngineConfig { threads: 4, ..Default::default() }),
+        &engine,
     )
     .unwrap();
     println!(

@@ -18,7 +18,6 @@ pub use fdb_data as data;
 pub use fdb_datasets as datasets;
 pub use fdb_factorized as factorized;
 pub use fdb_ifaq as ifaq;
-pub use fdb_ineq as ineq;
 pub use fdb_ivm as ivm;
 pub use fdb_ml as ml;
 pub use fdb_query as query;
